@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -236,6 +238,17 @@ func (ec *ExecContext) noteSink(p *pipeline) {
 	ec.opStats.ScalarDescents += p.scalarDescents
 	ec.opStats.Workers++
 	ec.opStats.Morsels += p.morsels
+	ec.opStats.WorkerMorsels = append(ec.opStats.WorkerMorsels, p.morsels)
+	ec.mu.Unlock()
+}
+
+// noteMorselMode records how the operator's scan split into morsels.
+func (ec *ExecContext) noteMorselMode(mode string) {
+	if ec.opStats == nil {
+		return
+	}
+	ec.mu.Lock()
+	ec.opStats.MorselMode = mode
 	ec.mu.Unlock()
 }
 
@@ -286,10 +299,15 @@ type OperatorStats struct {
 	KernelDescents int
 	ScalarDescents int
 	// Workers is the number of pool workers that contributed a partial
-	// output; Morsels the number of key-range morsels they processed
-	// (1/1 for serial execution).
-	Workers int
-	Morsels int
+	// output; Morsels the number of morsels they processed (1/1 for
+	// serial execution), and WorkerMorsels the morsels each of those
+	// workers ran. MorselMode is how the scan split: "key-range" morsels,
+	// or "row-slice" morsels — a key envelope narrower than the morsel
+	// count, split by qualifying-row ordinal.
+	Workers       int
+	Morsels       int
+	WorkerMorsels []int
+	MorselMode    string
 	// OutRows/OutKeys/OutBytes describe the output indexed table.
 	OutRows  int
 	OutKeys  int
@@ -395,7 +413,12 @@ func (ps *PlanStats) String() string {
 			op.Label, op.Time.Round(time.Microsecond), op.IndexTime.Round(time.Microsecond),
 			op.OutRows, op.OutKeys, op.OutBytes)
 		if op.Workers > 1 {
-			s += fmt.Sprintf("  [%d workers, %d morsels]", op.Workers, op.Morsels)
+			per := make([]string, len(op.WorkerMorsels))
+			for i, m := range op.WorkerMorsels {
+				per[i] = strconv.Itoa(m)
+			}
+			s += fmt.Sprintf("  [%d workers, %d morsels, %s, %s]",
+				op.Workers, op.Morsels, op.MorselMode, strings.Join(per, "/"))
 		}
 		if op.ProbeBatches > 0 {
 			// A non-probing chain top: batches received over the fused
@@ -980,6 +1003,21 @@ func (ex *executor) resolve(op Operator, stats *PlanStats) (*IndexedTable, error
 type Result struct {
 	Attrs []string
 	Rows  [][]uint64
+}
+
+// Release hands the storage of out — a result this plan returned, once
+// the caller is done with it (Extract copies the rows) — back to the
+// chunk pool its index was built from, so the next plan's output draws
+// on it instead of the heap. out is unusable afterwards. A plan whose
+// root is a Base operator returns a shared base table, which is never
+// released.
+func (pl *Plan) Release(out *IndexedTable) {
+	if _, base := pl.Root.(*Base); base {
+		return
+	}
+	if rc, ok := out.Idx.(chunkRecycler); ok {
+		rc.Recycle()
+	}
 }
 
 // Extract materializes an indexed table into a Result in key order.

@@ -14,7 +14,7 @@ import (
 // pipeline: the index is built, scanned once, and dropped. Fusion detects
 // maximal runs of such edges (fuseChain) and executes each run as ONE
 // morsel-driven stage — the bottom link drives its native scan over its
-// own key-range morsels, every upper link consumes the combinations as a
+// own morsels, every upper link consumes the combinations as a
 // stream through its probe pipeline (sink.forward), and only the top link
 // materializes an output index. No arena chunks are allocated for the
 // bypassed intermediates, nothing is registered with the spill manager,
@@ -420,20 +420,19 @@ func bottomPipe(ec *ExecContext, op Operator, inputs []*IndexedTable) (*pipeline
 	return nil, fmt.Errorf("core: operator %s cannot drive a fused chain", op.Label())
 }
 
-// bottomScan returns the chain bottom's native morsel scan and bounds.
-func bottomScan(op Operator, inputs []*IndexedTable) (scanFn, boundsFn, error) {
+// bottomScan returns the chain bottom's native morsel scan.
+func bottomScan(op Operator, inputs []*IndexedTable) (morselScan, error) {
 	switch b := op.(type) {
 	case *Selection:
-		return b.scan(inputs), b.bounds(inputs), nil
+		return selectionScan(inputs[0], b.Pred), nil
 	case *Join:
-		return b.scan(inputs), b.bounds(inputs), nil
+		return b.scan(inputs), nil
 	case *SelectJoin:
-		return b.scan(inputs), b.bounds(inputs), nil
+		return selectionScan(inputs[0], b.Pred), nil
 	case *Intersect:
-		j := b.asJoin()
-		return j.scan(inputs), j.bounds(inputs), nil
+		return b.asJoin().scan(inputs), nil
 	}
-	return nil, nil, fmt.Errorf("core: operator %s cannot drive a fused chain", op.Label())
+	return morselScan{}, fmt.Errorf("core: operator %s cannot drive a fused chain", op.Label())
 }
 
 // runChain executes one fused chain inside the top link's memo entry:
@@ -575,16 +574,18 @@ func (ex *executor) runChain(ch *fuseChain, e *memoEntry, stats *PlanStats) {
 // driveChain runs the fused chain as one morsel-driven stage: per pool
 // worker one stack of pipelines (the bottom's native pipe, fused consumer
 // pipes above it, the top's materializing sink), the bottom's native scan
-// claiming key-range morsels, and the top partials combined with the
-// parallel partition-wise merge — the exact shape of runMorsels with a
-// pipeline stack in place of the single pipeline.
+// claiming key-range or row-slice morsels, and the top partials combined
+// with the parallel partition-wise merge — the exact shape of runMorsels
+// with a pipeline stack in place of the single pipeline, draining every
+// link of the stack at the end of each morsel.
 func (ex *executor) driveChain(ch *fuseChain, ecs []*ExecContext, inputsOf [][]*IndexedTable) (*IndexedTable, error) {
 	n := len(ch.links)
 	spec := fuseSpec(ch.top())
-	scan, bounds, err := bottomScan(ch.links[0], inputsOf[0])
+	src, err := bottomScan(ch.links[0], inputsOf[0])
 	if err != nil {
 		return nil, err
 	}
+	src.slice = rowSlicesPay(ch.links, spec)
 	// Fused links forward their combinations in key-sorted batches of
 	// probeBatch (Options.ProbeBatch); 1 degenerates to scalar
 	// combination-at-a-time forwarding, the pre-batching behavior.
@@ -694,6 +695,18 @@ func (ex *executor) driveChain(ch *fuseChain, ecs []*ExecContext, inputsOf [][]*
 		pipes[0] = p0
 		return pipes, out, nil
 	}
+	// drain runs a morsel's buffered work up the whole stack on the worker
+	// that claimed it: each link's probe stages flush, and each forwarding
+	// sink hands its partial batch to the link above. Only the top sink's
+	// insert buffer stays batched until finish.
+	drain := func(pipes []*pipeline) {
+		for i, p := range pipes {
+			p.drain()
+			if i < n-1 {
+				p.snk.flush()
+			}
+		}
+	}
 	finish := func(pipes []*pipeline) {
 		for i, p := range pipes { // bottom → top: buffered combinations cascade upward
 			p.finish()
@@ -711,7 +724,7 @@ func (ex *executor) driveChain(ch *fuseChain, ecs []*ExecContext, inputsOf [][]*
 		finish(pipes)
 		return out, nil
 	}
-	lo, hi, ok := bounds()
+	lo, hi, ok := src.bounds()
 	if !ok {
 		return empty()
 	}
@@ -730,20 +743,17 @@ func (ex *executor) driveChain(ch *fuseChain, ecs []*ExecContext, inputsOf [][]*
 			return empty()
 		}
 	}
-	workers := sched.Workers()
-	morsels := 1
-	if workers > 1 {
-		morsels = workers * topEC.morselsPerWorker()
+	// A clipped serial scan must take the morsel-range path: the
+	// whole-input fast path ignores the bounds.
+	morsels, mode := splitMorsels(src, lo, hi, clipped, morselCount(topEC))
+	for _, ec := range ecs {
+		ec.noteMorselMode(mode)
 	}
-	stacks := make([][]*pipeline, workers)
-	outs := make([]*IndexedTable, workers)
-	err = sched.ForEachWorker(morsels, func(w, m int) error {
+	stacks := make([][]*pipeline, sched.Workers())
+	outs := make([]*IndexedTable, len(stacks))
+	err = sched.ForEachWorker(len(morsels), func(w, m int) error {
 		if err := topEC.err(); err != nil {
 			return err // cancelled: stop claiming morsels
-		}
-		mLo, mHi, ok := partitionBounds(lo, hi, m, morsels)
-		if !ok {
-			return nil
 		}
 		pipes := stacks[w]
 		if pipes == nil {
@@ -755,12 +765,11 @@ func (ex *executor) driveChain(ch *fuseChain, ecs []*ExecContext, inputsOf [][]*
 			}
 			stacks[w] = pipes
 		}
-		// A clipped serial scan must take the morsel-range path: the
-		// whole-input fast path ignores the bounds.
-		scan(pipes[0], mLo, mHi, morsels == 1 && !clipped)
+		src.scan(pipes[0], morsels[m])
 		if err := topEC.err(); err != nil {
 			return err // the scan itself may have been aborted mid-morsel
 		}
+		drain(pipes)
 		for _, p := range pipes {
 			p.morsels++
 		}
@@ -777,22 +786,8 @@ func (ex *executor) driveChain(ch *fuseChain, ecs []*ExecContext, inputsOf [][]*
 		finish(pipes)
 		partials = append(partials, outs[w])
 	}
-	switch len(partials) {
-	case 0:
+	if len(partials) == 0 {
 		return empty()
-	case 1:
-		return partials[0], nil
 	}
-	out, err := mergePartialsParallel(topEC, spec, partials)
-	if err != nil {
-		return nil, err
-	}
-	if topEC.rec != nil {
-		for _, p := range partials {
-			if rc, ok := p.Idx.(chunkRecycler); ok {
-				rc.Recycle()
-			}
-		}
-	}
-	return out, nil
+	return combinePartials(topEC, spec, partials)
 }

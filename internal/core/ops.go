@@ -109,32 +109,6 @@ func (s *Selection) pipe(ec *ExecContext, inputs []*IndexedTable) (*pipeline, er
 	return p, nil
 }
 
-// scan returns the morsel scan body over the resolved inputs.
-func (s *Selection) scan(inputs []*IndexedTable) scanFn {
-	in := inputs[0]
-	return func(p *pipeline, lo, hi uint64, whole bool) {
-		pred := s.Pred
-		if !whole {
-			pred = intersectPred(pred, lo, hi)
-		}
-		feedScan(p, in, pred)
-	}
-}
-
-// bounds returns the morsel interval: with a predicate, morsels partition
-// its envelope instead of the data bounds — the scan clips every morsel
-// to the predicate anyway, and a partially thawed input must not be asked
-// for Min/Max (its skipped leaves read as empty key-0 leaves).
-func (s *Selection) bounds(inputs []*IndexedTable) boundsFn {
-	in := inputs[0]
-	return func() (uint64, uint64, bool) {
-		if lo, hi, ok := predEnvelope(s.Pred); ok {
-			return lo, hi, true
-		}
-		return idxBounds(in.Idx)
-	}
-}
-
 func (s *Selection) run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTable, error) {
 	newPart := func(spec *OutputSpec, rec *arena.Recycler) (*pipeline, *IndexedTable, error) {
 		p, err := s.pipe(ec, inputs)
@@ -148,40 +122,106 @@ func (s *Selection) run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTable,
 		}
 		return p, out, nil
 	}
-	return runMorsels(ec, &s.Out, s.bounds(inputs), newPart, s.scan(inputs))
+	src := selectionScan(inputs[0], s.Pred)
+	src.slice = rowSlicesPay([]Operator{s}, &s.Out)
+	return runMorsels(ec, &s.Out, src, newPart)
 }
 
-// feedScan scans input 0's qualifying key ranges into the pipeline. A nil
-// predicate scans everything through the plain iterator (the serial fast
-// path); morsel scans pass their pre-clipped ranges.
-func feedScan(p *pipeline, in *IndexedTable, pred KeyPred) {
+// selectionScan is the morsel scan of a selection input (Selection and
+// SelectJoin). Morsels partition the predicate envelope instead of the
+// data bounds — the scan clips every morsel to the predicate anyway, and a
+// partially thawed input must not be asked for Min/Max (its skipped leaves
+// read as empty key-0 leaves). The scan honours row slices, so an
+// envelope narrower than the morsel count splits by row — unless the
+// caller finds the split does not pay (rowSlicesPay).
+func selectionScan(in *IndexedTable, pred KeyPred) morselScan {
+	clip := func(m morsel) KeyPred {
+		if m.whole {
+			return pred
+		}
+		return intersectPred(pred, m.lo, m.hi)
+	}
+	return morselScan{
+		bounds: func() (uint64, uint64, bool) {
+			if lo, hi, ok := predEnvelope(pred); ok {
+				return lo, hi, true
+			}
+			return idxBounds(in.Idx)
+		},
+		scan:  func(p *pipeline, m morsel) { feedScan(p, in, clip(m), m.rows) },
+		rows:  func(m morsel) int { return countRows(in, clip(m)) },
+		slice: true,
+	}
+}
+
+// scanPred visits the keys of pred's ranges in key order; a nil predicate
+// visits everything through the plain iterator (the serial fast path). A
+// visit returning false stops the whole scan.
+func scanPred(idx Index, pred KeyPred, visit func(k uint64, vals *duplist.List) bool) {
+	if pred == nil {
+		idx.Iterate(visit)
+		return
+	}
+	for _, r := range pred {
+		if !idx.Range(r.Lo, r.Hi, visit) {
+			return
+		}
+	}
+}
+
+// countRows counts the rows feedScan feeds for pred — one Len per key,
+// so each multiplicity unit of an existence-only input counts as a row.
+func countRows(in *IndexedTable, pred KeyPred) int {
+	n := 0
+	scanPred(in.Idx, pred, func(_ uint64, vals *duplist.List) bool {
+		n += vals.Len()
+		return true
+	})
+	return n
+}
+
+// feedScan scans input 0's qualifying key ranges into the pipeline,
+// feeding only the rows whose ordinals fall in rows: duplicate lists
+// wholly outside the slice are skipped without a row visit, and the scan
+// stops at the slice's end.
+func feedScan(p *pipeline, in *IndexedTable, pred KeyPred, rows rowSlice) {
 	comp := in.Key.Composer()
 	ctx := make([]uint64, p.layout.width)
-	scan := func(k uint64, vals *duplist.List) bool {
+	ord := 0 // ordinal of the current key's first row
+	scanPred(in.Idx, pred, func(k uint64, vals *duplist.List) bool {
 		if p.aborted() {
 			return false // query cancelled; the partial output is discarded
 		}
+		from, to := 0, vals.Len()
+		if !rows.all() {
+			base := ord
+			ord += to
+			if base >= rows.to {
+				return false // past the slice
+			}
+			if ord <= rows.from {
+				return true // before the slice
+			}
+			from, to = max(rows.from-base, 0), min(rows.to-base, to)
+		}
 		p.layout.fillKey(ctx, 0, k, comp)
 		if len(in.Cols) == 0 {
-			for n := 0; n < vals.Len(); n++ {
+			for n := from; n < to; n++ {
 				p.feed(ctx)
 			}
 			return true
 		}
+		n := 0
 		vals.Scan(func(row []uint64) bool {
-			p.layout.fillRow(ctx, 0, row)
-			p.feed(ctx)
-			return true
+			if n >= from {
+				p.layout.fillRow(ctx, 0, row)
+				p.feed(ctx)
+			}
+			n++
+			return n < to
 		})
 		return true
-	}
-	if pred == nil {
-		in.Idx.Iterate(scan)
-		return
-	}
-	for _, r := range pred {
-		in.Idx.Range(r.Lo, r.Hi, scan)
-	}
+	})
 }
 
 // An Assist attaches one assisting index to a composed join (paper
@@ -240,11 +280,12 @@ func (j *Join) pipe(ec *ExecContext, inputs []*IndexedTable) (*pipeline, error) 
 	return p, nil
 }
 
-// scan returns the morsel scan body: the synchronous index scan over the
-// two main inputs, cross-producting matching content nodes.
-func (j *Join) scan(inputs []*IndexedTable) scanFn {
+// scan returns the morsel scan: the synchronous index scan over the two
+// main inputs, cross-producting matching content nodes. It cannot honour
+// a row slice, so the join always splits into key-range morsels.
+func (j *Join) scan(inputs []*IndexedTable) morselScan {
 	left, right := inputs[0], inputs[1]
-	return func(p *pipeline, lo, hi uint64, whole bool) {
+	scan := func(p *pipeline, m morsel) {
 		lComp, rComp := left.Key.Composer(), right.Key.Composer()
 		ctx := make([]uint64, p.layout.width)
 		feedPair := func(ctx []uint64) {
@@ -272,18 +313,14 @@ func (j *Join) scan(inputs []*IndexedTable) scanFn {
 			})
 			return true
 		}
-		if whole {
+		if m.whole {
 			SyncScan(left.Idx, right.Idx, visit)
 		} else {
-			syncScanKeyRange(left.Idx, right.Idx, lo, hi, visit)
+			syncScanKeyRange(left.Idx, right.Idx, m.lo, m.hi, visit)
 		}
 	}
-}
-
-// bounds returns the synchronous scan's morsel interval.
-func (j *Join) bounds(inputs []*IndexedTable) boundsFn {
-	left, right := inputs[0], inputs[1]
-	return func() (uint64, uint64, bool) { return syncScanBounds(left.Idx, right.Idx) }
+	bounds := func() (uint64, uint64, bool) { return syncScanBounds(left.Idx, right.Idx) }
+	return morselScan{bounds: bounds, scan: scan}
 }
 
 func (j *Join) run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTable, error) {
@@ -299,7 +336,7 @@ func (j *Join) run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTable, erro
 		}
 		return p, out, nil
 	}
-	return runMorsels(ec, &j.Out, j.bounds(inputs), newPart, j.scan(inputs))
+	return runMorsels(ec, &j.Out, j.scan(inputs), newPart)
 }
 
 func crossRight(layout ctxLayout, ctx []uint64, right *IndexedTable, rv *duplist.List, feed func([]uint64)) {
@@ -390,31 +427,6 @@ func (sj *SelectJoin) pipe(ec *ExecContext, inputs []*IndexedTable) (*pipeline, 
 	return p, nil
 }
 
-// scan returns the morsel scan body over the selection input.
-func (sj *SelectJoin) scan(inputs []*IndexedTable) scanFn {
-	sel := inputs[0]
-	return func(p *pipeline, lo, hi uint64, whole bool) {
-		pred := sj.Pred
-		if !whole {
-			pred = intersectPred(pred, lo, hi)
-		}
-		feedScan(p, sel, pred)
-	}
-}
-
-// bounds returns the selection scan's morsel interval. See
-// Selection.bounds: the predicate envelope stands in for the data bounds
-// so a partially thawed selection input is never asked for Min/Max.
-func (sj *SelectJoin) bounds(inputs []*IndexedTable) boundsFn {
-	sel := inputs[0]
-	return func() (uint64, uint64, bool) {
-		if lo, hi, ok := predEnvelope(sj.Pred); ok {
-			return lo, hi, true
-		}
-		return idxBounds(sel.Idx)
-	}
-}
-
 func (sj *SelectJoin) run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTable, error) {
 	newPart := func(spec *OutputSpec, rec *arena.Recycler) (*pipeline, *IndexedTable, error) {
 		p, err := sj.pipe(ec, inputs)
@@ -428,7 +440,7 @@ func (sj *SelectJoin) run(ec *ExecContext, inputs []*IndexedTable) (*IndexedTabl
 		}
 		return p, out, nil
 	}
-	return runMorsels(ec, &sj.Out, sj.bounds(inputs), newPart, sj.scan(inputs))
+	return runMorsels(ec, &sj.Out, selectionScan(inputs[0], sj.Pred), newPart)
 }
 
 // Intersect is the set intersection operator used when conjunctive

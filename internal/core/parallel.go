@@ -33,6 +33,9 @@ import (
 // key *space*, matching the subtree partitioning of an unbalanced trie:
 // chunk boundaries align with subtree boundaries, never with data. The
 // same function produces both the scan morsels and the merge partitions.
+// Chunk sizes differ by at most one key: the first span%parts chunks take
+// one extra key. With fewer keys than parts, the trailing chunks are empty
+// (ok == false).
 func partitionBounds(lo, hi uint64, part, parts int) (uint64, uint64, bool) {
 	if lo > hi || parts <= 0 || part >= parts {
 		return 0, 0, false
@@ -48,20 +51,17 @@ func partitionBounds(lo, hi uint64, part, parts int) (uint64, uint64, bool) {
 		}
 		return pLo, pHi, true
 	}
-	step := span / uint64(parts)
-	if step == 0 {
-		// Fewer keys than morsels: give everything to the first chunk.
-		if part == 0 {
-			return lo, hi, true
-		}
+	p := uint64(part)
+	base, rem := span/uint64(parts), span%uint64(parts)
+	size := base
+	if p < rem {
+		size++
+	}
+	if size == 0 {
 		return 0, 0, false
 	}
-	pLo := lo + uint64(part)*step
-	pHi := pLo + step - 1
-	if part == parts-1 {
-		pHi = hi
-	}
-	return pLo, pHi, true
+	pLo := lo + p*base + min(p, rem)
+	return pLo, pLo + size - 1, true
 }
 
 // intersectPred clips a selection predicate (nil = everything) to a key
@@ -155,27 +155,127 @@ func keySpaceMax(bits uint) uint64 {
 	return uint64(1)<<bits - 1
 }
 
-// scanFn feeds the input keys in [lo, hi] through a worker's pipeline
-// (whole == true means the morsel covers the full input, letting the
-// operator keep its unclipped fast path); boundsFn reports the operator's
-// morsel interval (ok == false when there is nothing to scan).
-type scanFn = func(p *pipeline, lo, hi uint64, whole bool)
-type boundsFn = func() (uint64, uint64, bool)
+// A morsel is one claimable unit of an operator scan: the input keys in
+// [lo, hi] (whole == true means the morsel covers the full input, letting
+// the operator keep its unclipped fast path), narrowed to the qualifying
+// rows whose ordinals fall in rows.
+type morsel struct {
+	lo, hi uint64
+	whole  bool
+	rows   rowSlice
+}
+
+// A rowSlice selects the qualifying rows of a morsel's key range by
+// ordinal in scan order, [from, to); the zero value selects every row.
+// Each multiplicity unit of an existence-only input is one row.
+type rowSlice struct{ from, to int }
+
+func (r rowSlice) all() bool { return r.to == 0 }
+
+// A morselScan is an operator's morsel-driven input scan: bounds reports
+// the morsel interval (ok == false when there is nothing to scan), scan
+// feeds one morsel through a worker's pipeline, and rows — set only for
+// scans that honour row slices — counts the qualifying rows of a morsel.
+// slice reports whether a row split pays for the operator (see
+// rowSlicesPay).
+type morselScan struct {
+	bounds func() (lo, hi uint64, ok bool)
+	scan   func(p *pipeline, m morsel)
+	rows   func(m morsel) int
+	slice  bool
+}
+
+// Morsel modes (OperatorStats.MorselMode).
+const (
+	morselsKeyRange = "key-range"
+	morselsRowSlice = "row-slice"
+)
+
+// minSliceRows is the smallest row slice a narrow envelope is split into.
+// A selection of a few dozen rows stays in one morsel: splitting it costs
+// more in per-worker pipelines and partial merges than its probes gain.
+const minSliceRows = 64
+
+// splitMorsels divides a scan over [lo, hi] into at most want morsels
+// (clipped: [lo, hi] is narrower than the scan's own bounds, so even a
+// lone morsel must take the clipped path). The key space splits into
+// key-range morsels. When it holds fewer keys than want, a scan that
+// honours row slices splits the range's qualifying rows instead, into
+// contiguous ordinal slices of at least minSliceRows rows, so a one-key
+// envelope still spreads over the pool — or, where a row split does not
+// pay, keeps the narrow envelope in one morsel. Scans without row slices
+// (the synchronous scan of Join and Intersect) keep key-range morsels.
+func splitMorsels(src morselScan, lo, hi uint64, clipped bool, want int) ([]morsel, string) {
+	full := morsel{lo: lo, hi: hi, whole: !clipped}
+	if want <= 1 {
+		return []morsel{full}, morselsKeyRange
+	}
+	if src.rows != nil && hi-lo < uint64(want-1) {
+		n, parts := 0, 1
+		if src.slice {
+			n = src.rows(full)
+			parts = min(want, n/minSliceRows)
+		}
+		if parts < 2 {
+			return []morsel{full}, morselsKeyRange
+		}
+		ms := make([]morsel, parts)
+		for r := range ms {
+			ms[r] = full
+			ms[r].rows = rowSlice{from: r * n / parts, to: (r + 1) * n / parts}
+		}
+		return ms, morselsRowSlice
+	}
+	ms := make([]morsel, 0, want)
+	for m := 0; m < want; m++ {
+		if mLo, mHi, ok := partitionBounds(lo, hi, m, want); ok {
+			ms = append(ms, morsel{lo: mLo, hi: mHi})
+		}
+	}
+	return ms, morselsKeyRange
+}
+
+// rowSlicesPay reports whether a row-slice split can pay for an operator
+// (or fused chain) whose scan rows flow through links into the output
+// top: each row must carry more work than its own output insert — a probe
+// by some link other than a Selection, or a fold that keeps the partials
+// small. Otherwise a split only moves inserts into partials that the
+// merge then inserts all over again.
+func rowSlicesPay(links []Operator, top *OutputSpec) bool {
+	if top.Fold != nil {
+		return true
+	}
+	for _, l := range links {
+		if _, sel := l.(*Selection); !sel {
+			return true
+		}
+	}
+	return false
+}
+
+// morselCount is the morsel budget of one operator scan: one morsel for a
+// serial pool, Workers × MorselsPerWorker otherwise.
+func morselCount(ec *ExecContext) int {
+	if w := ec.scheduler().Workers(); w > 1 {
+		return w * ec.morselsPerWorker()
+	}
+	return 1
+}
 
 // runMorsels drives one operator's scan as work-stealing morsels on the
 // plan's shared pool. newPart builds a fresh pipeline + output table pair
 // (one per pool worker, created lazily when the worker claims its first
-// non-empty morsel) whose output index draws chunks from the given
-// recycler — each pool worker gets its worker-local pool so partials stay
-// cache-warm and uncontended; scan feeds the input keys in [lo, hi]
-// through the worker's pipeline. The per-worker partial outputs are then
-// combined with the parallel partition-wise merge. With a single worker
-// the lone partial is the output itself and execution degenerates to the
-// paper's single-threaded mode.
-func runMorsels(ec *ExecContext, spec *OutputSpec,
-	bounds boundsFn,
+// morsel) whose output index draws chunks from the given recycler — each
+// pool worker gets its worker-local pool so partials stay cache-warm and
+// uncontended. Each claimed morsel is scanned and then drained through
+// the worker's probe stages, so its probes, fan-out and sink feeding run
+// on the worker that claimed it; only the sink's insert buffer stays
+// batched until finish. The per-worker partial outputs are then combined
+// with the parallel partition-wise merge. With a single worker the lone
+// partial is the output itself and execution degenerates to the paper's
+// single-threaded mode.
+func runMorsels(ec *ExecContext, spec *OutputSpec, src morselScan,
 	newPart func(spec *OutputSpec, rec *arena.Recycler) (*pipeline, *IndexedTable, error),
-	scan scanFn,
 ) (*IndexedTable, error) {
 	sched := ec.scheduler()
 	empty := func() (*IndexedTable, error) {
@@ -187,24 +287,17 @@ func runMorsels(ec *ExecContext, spec *OutputSpec,
 		ec.noteSink(p)
 		return out, nil
 	}
-	lo, hi, ok := bounds()
+	lo, hi, ok := src.bounds()
 	if !ok {
 		return empty()
 	}
-	workers := sched.Workers()
-	morsels := 1
-	if workers > 1 {
-		morsels = workers * ec.morselsPerWorker()
-	}
-	pipes := make([]*pipeline, workers)
-	outs := make([]*IndexedTable, workers)
-	err := sched.ForEachWorker(morsels, func(w, m int) error {
+	morsels, mode := splitMorsels(src, lo, hi, false, morselCount(ec))
+	ec.noteMorselMode(mode)
+	pipes := make([]*pipeline, sched.Workers())
+	outs := make([]*IndexedTable, len(pipes))
+	err := sched.ForEachWorker(len(morsels), func(w, m int) error {
 		if err := ec.err(); err != nil {
 			return err // cancelled: stop claiming morsels
-		}
-		mLo, mHi, ok := partitionBounds(lo, hi, m, morsels)
-		if !ok {
-			return nil
 		}
 		p := pipes[w]
 		if p == nil {
@@ -216,10 +309,11 @@ func runMorsels(ec *ExecContext, spec *OutputSpec,
 			}
 			pipes[w] = p
 		}
-		scan(p, mLo, mHi, morsels == 1)
+		src.scan(p, morsels[m])
 		if err := ec.err(); err != nil {
 			return err // the scan itself may have been aborted mid-morsel
 		}
+		p.drain()
 		p.morsels++
 		return nil
 	})
@@ -235,24 +329,29 @@ func runMorsels(ec *ExecContext, spec *OutputSpec,
 		ec.noteSink(p)
 		partials = append(partials, outs[w])
 	}
-	switch len(partials) {
-	case 0:
+	if len(partials) == 0 {
 		return empty()
-	case 1:
-		// One worker claimed every non-empty morsel: its partial already is
-		// the complete output.
+	}
+	return combinePartials(ec, spec, partials)
+}
+
+// combinePartials turns an operator's per-worker partial outputs into its
+// output. A lone partial already is the complete output (one worker
+// claimed every morsel); otherwise the partials merge, and every partial
+// the output does not reuse is dead the moment the merge re-inserted its
+// rows — with a recycler its chunks immediately feed the next allocations
+// instead of the GC.
+func combinePartials(ec *ExecContext, spec *OutputSpec, partials []*IndexedTable) (*IndexedTable, error) {
+	if len(partials) == 1 {
 		return partials[0], nil
 	}
 	out, err := mergePartialsParallel(ec, spec, partials)
 	if err != nil {
 		return nil, err
 	}
-	// The per-worker partials are dead the moment the merge re-inserted
-	// their rows (the output owns copies); with a recycler their chunks
-	// immediately feed the next allocations instead of the GC.
 	if ec.rec != nil {
 		for _, p := range partials {
-			if rc, ok := p.Idx.(chunkRecycler); ok {
+			if rc, ok := p.Idx.(chunkRecycler); ok && p != out {
 				rc.Recycle()
 			}
 		}
@@ -343,15 +442,30 @@ func newOutputIndex(spec *OutputSpec, rec *arena.Recycler) Index {
 }
 
 // mergePartials is the sequential merge baseline: it folds per-worker
-// partial outputs into one final output index by re-insertion, scanning
-// the partials one after another over the full key space. ec may be nil
-// (non-cancellable); a cancelled merge returns the context's error.
+// partial outputs into one fresh output index by re-insertion, scanning
+// the partials one after another over the full key space, and leaves the
+// partials untouched — the reference the merge tests and benchmarks
+// compare mergePartialsParallel against (execution itself merges small
+// outputs with mergeIntoFirst). ec may be nil (non-cancellable); a
+// cancelled merge returns the context's error.
 func mergePartials(ec *ExecContext, spec *OutputSpec, partials []*IndexedTable, rec *arena.Recycler) (*IndexedTable, error) {
 	idx := newOutputIndex(spec, rec)
 	if err := mergeRangeInto(ec, idx, spec, partials, 0, keySpaceMax(spec.Key.TotalBits())); err != nil {
 		return nil, err
 	}
 	return NewIndexedTable(spec.Name, spec.Key, spec.Cols, idx), nil
+}
+
+// mergeIntoFirst is the small-output merge: it folds partials[1:] into
+// partials[0] by re-insertion and returns partials[0] as the output, so
+// the merge builds no fresh index and re-inserts only the other
+// partials' rows. Duplicate rows keep partial order, as in mergePartials.
+func mergeIntoFirst(ec *ExecContext, spec *OutputSpec, partials []*IndexedTable) (*IndexedTable, error) {
+	out := partials[0]
+	if err := mergeRangeInto(ec, out.Idx, spec, partials[1:], 0, keySpaceMax(spec.Key.TotalBits())); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // parallelMergeMinKeys gates the parallel merge: below this many output
@@ -365,6 +479,8 @@ const parallelMergeMinKeys = 4096
 // range-sharded output index. Disjoint output ranges never touch the same
 // subtree, so the per-range merge tasks need no synchronization. The only
 // error a merge task can return is the query context's cancellation.
+// Small outputs (or a serial pool) take mergeIntoFirst instead, so the
+// returned table may be partials[0] itself.
 func mergePartialsParallel(ec *ExecContext, spec *OutputSpec, partials []*IndexedTable) (*IndexedTable, error) {
 	sched := ec.scheduler()
 	total := 0
@@ -372,7 +488,7 @@ func mergePartialsParallel(ec *ExecContext, spec *OutputSpec, partials []*Indexe
 		total += p.Idx.Rows()
 	}
 	if !sched.parallel() || total < parallelMergeMinKeys {
-		return mergePartials(ec, spec, partials, ec.rec)
+		return mergeIntoFirst(ec, spec, partials)
 	}
 	var lo, hi uint64
 	any := false
@@ -391,7 +507,7 @@ func mergePartialsParallel(ec *ExecContext, spec *OutputSpec, partials []*Indexe
 		any = true
 	}
 	if !any {
-		return mergePartials(ec, spec, partials, ec.rec)
+		return mergeIntoFirst(ec, spec, partials)
 	}
 	// Two ranges per worker give the claiming loops room to balance ranges
 	// of uneven density without fragmenting the output into many shards.
@@ -406,7 +522,7 @@ func mergePartialsParallel(ec *ExecContext, spec *OutputSpec, partials []*Indexe
 		his = append(his, rHi)
 	}
 	if len(los) < 2 {
-		return mergePartials(ec, spec, partials, ec.rec)
+		return mergeIntoFirst(ec, spec, partials)
 	}
 	// Under a memory budget the worker partials are spillable state like
 	// any other intermediate: register them with the manager (all or

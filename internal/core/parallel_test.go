@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"regexp"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +13,9 @@ import (
 )
 
 func TestPartitionBounds(t *testing.T) {
-	// Partitions must be disjoint and cover [lo, hi] exactly.
+	// Partitions must be disjoint, cover [lo, hi] exactly, and differ in
+	// size by at most one key (so a span of fewer keys than parts gets
+	// one key per non-empty chunk).
 	f := func(lo, hi uint64, parts8 uint8) bool {
 		if lo > hi {
 			lo, hi = hi, lo
@@ -18,9 +23,12 @@ func TestPartitionBounds(t *testing.T) {
 		parts := int(parts8%7) + 1
 		var next uint64 = lo
 		covered := false
+		var minSize, maxSize uint64 = ^uint64(0), 0
+		empty := 0
 		for p := 0; p < parts; p++ {
 			pLo, pHi, ok := partitionBounds(lo, hi, p, parts)
 			if !ok {
+				empty++
 				continue
 			}
 			if pLo != next {
@@ -33,12 +41,35 @@ func TestPartitionBounds(t *testing.T) {
 				covered = true
 			}
 			next = pHi + 1
+			minSize, maxSize = min(minSize, pHi-pLo), max(maxSize, pHi-pLo)
 		}
-		return covered
+		if span := hi - lo + 1; span != 0 && span < uint64(parts) {
+			return covered && uint64(empty) == uint64(parts)-span && maxSize == 0
+		}
+		return covered && empty == 0 && maxSize-minSize <= 1
 	}
 	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(61))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+	// Small spans, where random 64-bit bounds never land: every span from
+	// one key to a few times parts.
+	for parts := 1; parts <= 7; parts++ {
+		for span := uint64(1); span <= uint64(3*parts+2); span++ {
+			if !f(100, 100+span-1, uint8(parts-1)) {
+				t.Fatalf("span %d into %d parts: uneven or not a disjoint cover", span, parts)
+			}
+		}
+	}
+	// A span between parts and 2·parts keys spreads its remainder: 10 keys
+	// into 7 chunks are 2,2,2,1,1,1,1 — not six 1s and a 4.
+	var sizes []uint64
+	for p := 0; p < 7; p++ {
+		pLo, pHi, _ := partitionBounds(0, 9, p, 7)
+		sizes = append(sizes, pHi-pLo+1)
+	}
+	if want := []uint64{2, 2, 2, 1, 1, 1, 1}; !reflect.DeepEqual(sizes, want) {
+		t.Fatalf("10 keys into 7 chunks: sizes %v, want %v", sizes, want)
 	}
 	// Full key space does not overflow.
 	seen := uint64(0)
@@ -429,4 +460,226 @@ func TestShardedIndexSemantics(t *testing.T) {
 	if sh.Lookup(keySpaceMax(32)) == nil {
 		t.Fatal("post-merge insert at key-space edge not found")
 	}
+}
+
+// narrowFixture is a star with a narrow selection dimension: sel holds
+// nSelRows rows over only three keys (1, 2 and 4), each row carrying a
+// foreign key into main, the fact-side index of mainRows rows that every
+// selected row fans out to; grp is an assisting index on main's group
+// column.
+type narrowFixture struct {
+	sel  *IndexedTable // key g (1, 2, 4), payload [fk]
+	main *IndexedTable // key fk, payload [grp, val]
+	grp  *IndexedTable // key grp, payload [label]
+}
+
+const nSelRows = 3000
+
+func buildNarrowFixture(seed int64, mainRows int) *narrowFixture {
+	rng := rand.New(rand.NewSource(seed))
+	sel := NewIndex(IndexConfig{KeyBits: 8, PayloadWidth: 1})
+	keys := []uint64{1, 2, 4}
+	for i := 0; i < nSelRows; i++ {
+		sel.Insert(keys[rng.Intn(len(keys))], []uint64{uint64(rng.Intn(3000))})
+	}
+	main := NewIndex(IndexConfig{KeyBits: 16, PayloadWidth: 2})
+	for i := 0; i < mainRows; i++ {
+		main.Insert(uint64(rng.Intn(3000)), []uint64{uint64(rng.Intn(40)), uint64(rng.Intn(100))})
+	}
+	grp := NewIndex(IndexConfig{KeyBits: 8, PayloadWidth: 1})
+	for g := uint64(0); g < 40; g++ {
+		if g%7 != 3 { // some groups miss: the assist probe drops them
+			grp.Insert(g, []uint64{g % 5})
+		}
+	}
+	return &narrowFixture{
+		sel:  NewIndexedTable("sel[g]", SimpleKey("g", 8), []string{"fk"}, sel),
+		main: NewIndexedTable("main[fk]", SimpleKey("fk", 16), []string{"grp", "val"}, main),
+		grp:  NewIndexedTable("grp[grp]", SimpleKey("grp", 8), []string{"label"}, grp),
+	}
+}
+
+// selectJoin builds σ(sel, pred) ⋈ main, assisted by grp, with a plain
+// (non-folding) output keyed on the group label carrying val and fk — the
+// row multiset is then sensitive to every row fed more or less than once.
+func (f *narrowFixture) selectJoin(pred KeyPred) *SelectJoin {
+	return &SelectJoin{
+		SelInput:      &Base{Table: f.sel},
+		Pred:          pred,
+		Main:          &Base{Table: f.main},
+		ProbeMainWith: Ref{Input: 0, Attr: "fk"},
+		Assists:       []Assist{{Input: &Base{Table: f.grp}, ProbeWith: Ref{Input: 1, Attr: "grp"}}},
+		Out: OutputSpec{
+			Name:     "Γ",
+			Key:      SimpleKey("label", 8),
+			KeyRefs:  []Ref{{Input: 2, Attr: "label"}},
+			Cols:     []string{"val", "fk"},
+			ColExprs: []RowExpr{Attr(1, "val"), Attr(0, "fk")},
+		},
+	}
+}
+
+// assertSameAcrossWorkers runs the plan built by mk serially and at
+// Workers 2, 3 and 8, and requires the same keys and per-key row
+// multisets every time (rows of at most two columns), with the root
+// operator split in morsel mode wantMode. It returns the serial output's
+// row count.
+func assertSameAcrossWorkers(t *testing.T, name, wantMode string, mk func() Operator) int {
+	t.Helper()
+	ref, _, err := (&Plan{Root: mk()}).Run(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{2, 3, 8} {
+		got, stats, err := (&Plan{Root: mk()}).Run(Options{Workers: w, CollectStats: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameTable(t, ref, got)
+		if mode := stats.Ops[len(stats.Ops)-1].MorselMode; mode != wantMode {
+			t.Fatalf("%s: workers=%d split into %s morsels, want %s", name, w, mode, wantMode)
+		}
+	}
+	return ref.Rows()
+}
+
+// TestNarrowEnvelopeSelectJoin: a selection envelope narrower than the
+// morsel count splits by row slice; every selected row must still be
+// probed exactly once.
+func TestNarrowEnvelopeSelectJoin(t *testing.T) {
+	f := buildNarrowFixture(101, 40000)
+	for _, tc := range []struct {
+		name string
+		pred KeyPred
+	}{
+		{"single key", Point(2)},
+		{"two ranges", KeyPred{{Lo: 1, Hi: 1}, {Lo: 3, Hi: 4}}},
+	} {
+		mk := func() Operator { return f.selectJoin(tc.pred) }
+		if n := assertSameAcrossWorkers(t, tc.name, morselsRowSlice, mk); n == 0 {
+			t.Fatalf("%s: empty result proves nothing", tc.name)
+		}
+	}
+}
+
+// TestNarrowEnvelopeExistenceOnlySelection: row slices over an
+// existence-only input split its duplicate multiplicity, never dropping
+// or repeating a unit. A counting (folding) output makes the split pay,
+// so it row-slices; a plain output would only re-insert its partials in
+// the merge, so it keeps one morsel — and must match just the same.
+func TestNarrowEnvelopeExistenceOnlySelection(t *testing.T) {
+	idx := NewIndex(IndexConfig{KeyBits: 8})
+	for k, n := range map[uint64]int{3: 700, 4: 5, 5: 333, 9: 50} {
+		for i := 0; i < n; i++ {
+			idx.Insert(k, nil)
+		}
+	}
+	in := NewIndexedTable("exists[k]", SimpleKey("k", 8), nil, idx)
+	plain := OutputSpec{Name: "σ", Key: SimpleKey("k", 8), KeyRefs: []Ref{{Input: 0, Attr: "k"}}}
+	count := plain
+	count.Cols = []string{"n"}
+	count.ColExprs = []RowExpr{Computed(func([]uint64) uint64 { return 1 })}
+	count.Fold = FoldSum(0)
+	for _, pred := range []KeyPred{Point(3), Between(3, 5)} {
+		for _, tc := range []struct {
+			out  OutputSpec
+			mode string
+			rows int // rows of the serial output
+		}{
+			{plain, morselsKeyRange, 700},
+			{count, morselsRowSlice, 1},
+		} {
+			sel := func() Operator { return &Selection{Input: &Base{Table: in}, Pred: pred, Out: tc.out} }
+			name := fmt.Sprintf("%v fold=%v", pred, tc.out.Fold != nil)
+			if n := assertSameAcrossWorkers(t, name, tc.mode, sel); n < tc.rows {
+				t.Fatalf("%s: %d rows, multiplicity lost", name, n)
+			}
+		}
+	}
+}
+
+// TestNarrowSyncScanJoinAndIntersect: Join and Intersect cannot honour a
+// row slice; with sync-scan bounds narrower than the morsel count they
+// keep key-range morsels and must feed every pair exactly once.
+func TestNarrowSyncScanJoinAndIntersect(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
+	a := NewIndex(IndexConfig{KeyBits: 16, PayloadWidth: 1})
+	b := NewIndex(IndexConfig{KeyBits: 16, PayloadWidth: 1})
+	for i := 0; i < 300; i++ {
+		a.Insert(uint64(5+rng.Intn(3)), []uint64{uint64(i)})
+		b.Insert(uint64(6+rng.Intn(3)), []uint64{uint64(1000 + i)})
+	}
+	ta := NewIndexedTable("a[k]", SimpleKey("k", 16), []string{"x"}, a)
+	tb := NewIndexedTable("b[k]", SimpleKey("k", 16), []string{"y"}, b)
+	if lo, hi, _ := syncScanBounds(a, b); hi-lo+1 >= 8 {
+		t.Fatalf("sync-scan span %d..%d is not narrower than the morsel count", lo, hi)
+	}
+	join := func() Operator {
+		return &Join{
+			Left: &Base{Table: ta}, Right: &Base{Table: tb},
+			Out: OutputSpec{
+				Name: "⋈", Key: SimpleKey("k", 16), KeyRefs: []Ref{{Input: 0, Attr: "k"}},
+				Cols: []string{"x", "y"}, ColExprs: []RowExpr{Attr(0, "x"), Attr(1, "y")},
+			},
+		}
+	}
+	inter := func() Operator {
+		return &Intersect{
+			A: &Base{Table: ta}, B: &Base{Table: tb},
+			Out: OutputSpec{Name: "∩", Key: SimpleKey("k", 16), KeyRefs: []Ref{{Input: 0, Attr: "k"}}},
+		}
+	}
+	for name, mk := range map[string]func() Operator{"join": join, "intersect": inter} {
+		if n := assertSameAcrossWorkers(t, name, morselsKeyRange, mk); n == 0 {
+			t.Fatalf("%s: empty result proves nothing", name)
+		}
+	}
+}
+
+// TestNarrowSelectJoinEngagesWorkers: the single-key select-join must
+// actually spread over the pool — split into row-slice morsels, with
+// more than one worker contributing a partial — and PlanStats must say
+// so. Which worker claims which morsel is up to the scheduler, so the
+// run repeats until a second worker has joined in. A helper goroutine
+// needs a second P to start before the caller's loop has claimed every
+// morsel, so the test runs with at least two.
+func TestNarrowSelectJoinEngagesWorkers(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	f := buildNarrowFixture(107, 40000)
+	line := regexp.MustCompile(`\[2 workers, 8 morsels, row-slice, (\d+)/(\d+)\]`)
+	var last string
+	for attempt := 0; attempt < 50; attempt++ {
+		_, stats, err := (&Plan{Root: f.selectJoin(Point(2))}).Run(Options{Workers: 2, CollectStats: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		op := stats.Ops[len(stats.Ops)-1]
+		if op.MorselMode != morselsRowSlice {
+			t.Fatalf("morsel mode = %q, want %q", op.MorselMode, morselsRowSlice)
+		}
+		if op.Morsels != 8 {
+			t.Fatalf("%d morsels, want 8 (2 workers × %d)", op.Morsels, DefaultMorselsPerWorker)
+		}
+		sum := 0
+		for _, m := range op.WorkerMorsels {
+			sum += m
+		}
+		if len(op.WorkerMorsels) != op.Workers || sum != op.Morsels {
+			t.Fatalf("per-worker morsels %v do not add up to %d workers, %d morsels", op.WorkerMorsels, op.Workers, op.Morsels)
+		}
+		last = stats.String()
+		if op.Workers > 1 {
+			m := line.FindStringSubmatch(last)
+			if m == nil {
+				t.Fatalf("stats string lacks the morsel line:\n%s", last)
+			}
+			if m[1]+"/"+m[2] != fmt.Sprintf("%d/%d", op.WorkerMorsels[0], op.WorkerMorsels[1]) {
+				t.Fatalf("stats string per-worker split %s/%s, want %v", m[1], m[2], op.WorkerMorsels)
+			}
+			return
+		}
+	}
+	t.Fatalf("single-key select-join never ran on more than one worker:\n%s", last)
 }

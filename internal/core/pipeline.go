@@ -186,7 +186,7 @@ type pipeline struct {
 	snk     *sink
 	bufSize int
 	lookups int // probe-stage lookups issued (stats)
-	morsels int // key-range morsels scanned through this pipeline (stats)
+	morsels int // morsels scanned through this pipeline (stats)
 
 	kernelDescents int // probe-stage flushes taking the SWAR kernel descent
 	scalarDescents int // probe-stage flushes taking the scalar job loop
@@ -671,10 +671,18 @@ func (s *sink) flush() {
 	s.keys, s.rows, s.arena = s.keys[:0], s.rows[:0], s.arena[:0]
 }
 
-// finish drains every buffer in stage order.
-func (p *pipeline) finish() {
+// drain flushes the probe stages in order, so every combination a morsel
+// buffered is probed, fanned out and fed to the sink before the worker
+// claims its next morsel. The sink's own buffer is left to fill (a
+// materializing sink keeps batching its inserts until finish).
+func (p *pipeline) drain() {
 	for i := range p.stages {
 		p.flushStage(i)
 	}
+}
+
+// finish drains every buffer in stage order, the sink's last.
+func (p *pipeline) finish() {
+	p.drain()
 	p.snk.flush()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -186,5 +187,49 @@ func TestPartialThawReadsLessForRangePredicates(t *testing.T) {
 	if full.RestoreBytesRead <= partialRead {
 		t.Fatalf("range-restricted thaw read %d bytes, full thaw %d — no savings",
 			partialRead, full.RestoreBytesRead)
+	}
+}
+
+// TestPlanReleaseRecyclesResults: releasing an extracted result parks its
+// chunks in the environment's pool, so the next plan's output draws on
+// them; a plan whose root is a Base operator returns the shared base
+// table, which Release must leave intact.
+func TestPlanReleaseRecyclesResults(t *testing.T) {
+	f := buildFixture(13)
+	env, err := NewEnv(EnvConfig{Recycle: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	ctx := context.Background()
+	var want *Result
+	for run := 0; run < 2; run++ {
+		pl := starPlan(f, 2)
+		out, _, err := pl.RunCtx(ctx, env, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := Extract(out)
+		if want == nil {
+			want = res
+		} else if !reflect.DeepEqual(res, want) {
+			t.Fatal("the run after a release returned a different result")
+		}
+		parked := env.RecyclerStats().Recycled
+		pl.Release(out)
+		if env.RecyclerStats().Recycled <= parked {
+			t.Fatalf("run %d: releasing the result parked no chunks", run)
+		}
+	}
+
+	base := &Plan{Root: &Base{Table: f.factByProd}}
+	rows := f.factByProd.Rows()
+	out, _, err := base.RunCtx(ctx, env, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Release(out)
+	if f.factByProd.Rows() != rows || f.factByProd.Idx.Lookup(f.fact[0][1]) == nil {
+		t.Fatal("Release recycled a shared base table")
 	}
 }

@@ -23,8 +23,9 @@ import (
 //     fresh goroutines.
 //   - Intra-operator parallelism: operators split their scans into many
 //     small key-range *morsels* (MorselsPerWorker × Workers, aligned to
-//     prefix-subtree boundaries by partitionBounds) and submit them through
-//     ForEachWorker. Idle workers steal the next unclaimed morsel, so a
+//     prefix-subtree boundaries by partitionBounds; a selection envelope
+//     narrower than that splits into row slices instead, see
+//     splitMorsels) and submit them through ForEachWorker. Idle workers steal the next unclaimed morsel, so a
 //     skewed key distribution — where a static split would leave one
 //     partition with nearly all the data — keeps every worker busy.
 //

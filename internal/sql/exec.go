@@ -272,6 +272,7 @@ func (s *Statement) RunExec(ctx context.Context, env *core.Env, exec core.Option
 		return nil, nil, err
 	}
 	res := core.Extract(out)
+	s.Plan.Release(out)
 	rows := make([][]uint64, len(res.Rows))
 	for i, r := range res.Rows {
 		nr := make([]uint64, len(s.selOrder))

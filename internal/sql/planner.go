@@ -225,15 +225,17 @@ func (p *Planner) plan(ctx context.Context, stmt *SelectStmt, opt Options, recor
 		}
 		dims[dt] = &dimInfo{table: dt, ti: tis[dt], joinKey: dc.Name, fk: fc.Name}
 	}
+	// Every other FROM table must join the fact table: an unjoined one
+	// would be a cross product the star-join plans cannot express.
+	for _, t := range stmt.Tables {
+		if t != fact && dims[t] == nil {
+			return nil, fmt.Errorf("sql: table %q has no join predicate with fact table %q", t, fact)
+		}
+	}
 	for t, cs := range restr {
-		if t == fact {
-			continue
+		if t != fact {
+			dims[t].conds = cs
 		}
-		d, ok := dims[t]
-		if !ok {
-			return nil, fmt.Errorf("sql: table %q restricted but not joined", t)
-		}
-		d.conds = cs
 	}
 
 	// Group-by attributes: assign carries to their dimensions (or fact).

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qppt/internal/core"
+	"qppt/internal/sql"
 )
 
 // TestMorselParallelMatchesSerial asserts bit-identical results between
@@ -72,5 +73,48 @@ func TestMorselStatsRecordConfiguration(t *testing.T) {
 	}
 	if s := stats.String(); !strings.Contains(s, "workers") || !strings.Contains(s, "morsels") {
 		t.Fatalf("stats string does not record the pool configuration:\n%s", s)
+	}
+}
+
+// TestSQLMorselModesMatchSerial pins the SQL plans — select-joins over
+// one- to six-key selection envelopes, the shape whose morsels split by
+// row slice — bit-identical to serial execution at every pool size from
+// 2 to 8 and with 2 workers under a 1 MiB memory budget, and checks that
+// the row-slice split actually engages on some query.
+func TestSQLMorselModesMatchSerial(t *testing.T) {
+	ds := testDataset(t)
+	planner := sql.NewPlanner(ds.Cat)
+	run := func(qid string, exec core.Options) (*sql.Rows, *core.PlanStats) {
+		t.Helper()
+		stmt, err := planner.PlanSQL(SQLTexts[qid], sql.Options{UseSelectJoin: true, Exec: exec})
+		if err != nil {
+			t.Fatalf("Q%s: plan: %v", qid, err)
+		}
+		rows, stats, err := stmt.Run()
+		if err != nil {
+			t.Fatalf("Q%s %+v: run: %v", qid, exec, err)
+		}
+		return rows, stats
+	}
+	sliced := false
+	for _, qid := range QueryIDs {
+		serial, _ := run(qid, core.Options{})
+		modes := []core.Options{{Workers: 2, MemBudget: 1 << 20, CollectStats: true}}
+		for w := 2; w <= 8; w++ {
+			modes = append(modes, core.Options{Workers: w, CollectStats: true})
+		}
+		for _, exec := range modes {
+			par, stats := run(qid, exec)
+			if !reflect.DeepEqual(serial.Rows, par.Rows) {
+				t.Errorf("Q%s workers=%d budget=%d: result differs from serial (%d vs %d rows)",
+					qid, exec.Workers, exec.MemBudget, len(par.Rows), len(serial.Rows))
+			}
+			for _, op := range stats.Ops {
+				sliced = sliced || op.MorselMode == "row-slice"
+			}
+		}
+	}
+	if !sliced {
+		t.Fatal("no SQL plan split into row-slice morsels")
 	}
 }

@@ -175,6 +175,43 @@ func TestWireSSBBitIdentical(t *testing.T) {
 	assertNoLeakedGoroutines(t)
 }
 
+// TestWireUnjoinedTableIsBadRequest: a FROM table without a join
+// predicate once panicked in the planner, taking the whole server down.
+// It must come back as a BadRequest error, and the same connection must
+// go on serving every SSB query bit-identically.
+func TestWireUnjoinedTableIsBadRequest(t *testing.T) {
+	ds := wireDataset(t)
+	eng, err := qppt.New(qppt.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	refs := reference(t, eng, ds)
+	srv := wire.NewServer(eng, ds.Cat)
+	defer srv.Close()
+	cc, err := client.NewPipe(srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+
+	const unjoined = `select d_year, sum(lo_revenue) from customer, lineorder, supplier, date
+		where lo_custkey = c_custkey group by d_year`
+	var werr *wire.Error
+	if _, err := cc.Query(unjoined); !errors.As(err, &werr) || werr.Class != wire.ClassBadRequest {
+		t.Fatalf("unjoined FROM table returned %v, want ClassBadRequest", err)
+	}
+	for _, qid := range ssb.QueryIDs {
+		res, err := cc.Query(ssb.SQLTexts[qid])
+		if err != nil {
+			t.Fatalf("%s after the rejected query: %v", qid, err)
+		}
+		if err := refs[qid].check(qid, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestWirePrepareBindExecute: the extended protocol — named statements,
 // portals, repeated execution through the statement cache — and its
 // error classes for unknown names.
