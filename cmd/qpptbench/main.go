@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	qpptbench -fig 3a|3b|7|8|9|joinbuffer|workers|kprime|compression|duplicates|batch|memlife|fusion|probe|kernel|engine|serve|all
+//	qpptbench -fig 3a|3b|7|8|9|joinbuffer|workers|kprime|compression|duplicates|batch|memlife|fusion|probe|engine|serve|all
 //	          [-sf 0.5] [-reps 3] [-sizes 1000000,4000000,16000000]
 //	          [-workers N] [-morsels M] [-buffer B] [-membudget 256MiB]
 //	          [-recycle] [-mmapthaw]
@@ -13,7 +13,7 @@
 // so the perf trajectory accumulates across PRs; -benchlabel names the
 // snapshot. A pre-history file holding a single snapshot object is
 // absorbed as the first history entry, and the retired arena-vs-pointer
-// layout rows of older snapshots are preserved verbatim.
+// layout and SWAR-kernel rows of older snapshots are preserved verbatim.
 //
 // -membudget runs the figure-7 QPPT rows a second time under that
 // intermediate-index memory budget (index spilling enabled) and records
@@ -27,13 +27,9 @@
 // the decomposed plans (fused-edge counts, streamed combinations, and a
 // bit-identity check per query); -fig probe isolates the batched probe
 // forwarding inside fused chains (batched vs scalar vs materialized, with
-// batch counts and average fill); -fig kernel isolates the SWAR batch
-// kernels inside the batched pipeline (kernel vs scalar fallback vs
-// materialized, with descent-strategy counts and a three-way bit-identity
-// check). -nofuse turns pipeline fusion off for
+// batch counts and average fill). -nofuse turns pipeline fusion off for
 // every other figure's QPPT rows; -probebatch sets the probe-forward
-// batch size they run with (1 = scalar); -nokernel forces the scalar
-// kernel fallback everywhere.
+// batch size they run with (1 = scalar).
 //
 // -workers > 1 runs the QPPT engine rows of figures 7, 8 and 9 on a
 // shared worker pool of that size (morsel-driven parallelism); -morsels
@@ -86,13 +82,14 @@ type benchSnapshot struct {
 	Recycle   bool              `json:"recycle,omitempty"`
 	MmapThaw  bool              `json:"mmapthaw,omitempty"`
 	Queries   []bench.QueryTime `json:"queries,omitempty"`
-	// Layout carries the retired arena-vs-pointer ablation of older
-	// snapshots verbatim, so appending never rewrites recorded history.
+	// Layout and Kernel carry the retired arena-vs-pointer and SWAR-kernel
+	// ablations of older snapshots verbatim, so appending never rewrites
+	// recorded history.
 	Layout  json.RawMessage    `json:"layout,omitempty"`
 	MemLife []bench.MemLifeRow `json:"memlife,omitempty"`
 	Fusion  []bench.FusionRow  `json:"fusion,omitempty"`
 	Probe   []bench.ProbeRow   `json:"probe,omitempty"`
-	Kernel  []bench.KernelRow  `json:"kernel,omitempty"`
+	Kernel  json.RawMessage    `json:"kernel,omitempty"`
 	Serve   []bench.ServeRow   `json:"serve,omitempty"`
 }
 
@@ -132,7 +129,7 @@ func appendSnapshot(path string, snap benchSnapshot) error {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 3a, 3b, 7, 8, 9, joinbuffer, workers, kprime, compression, duplicates, batch, memlife, fusion, probe, kernel, engine, serve, all")
+	fig := flag.String("fig", "all", "figure to regenerate: 3a, 3b, 7, 8, 9, joinbuffer, workers, kprime, compression, duplicates, batch, memlife, fusion, probe, engine, serve, all")
 	sf := flag.Float64("sf", 0.5, "SSB scale factor for figures 7-9 (the paper uses 15)")
 	reps := flag.Int("reps", 3, "repetitions per query timing (best-of)")
 	sizesFlag := flag.String("sizes", "1000000,4000000,16000000", "index sizes for figure 3")
@@ -141,7 +138,6 @@ func main() {
 	benchjson := flag.String("benchjson", "", "append a JSON perf snapshot (query times, memory-lifecycle ablation) to the history in this file")
 	benchlabel := flag.String("benchlabel", "", "label for the appended perf snapshot (e.g. the PR number)")
 	flag.Parse()
-	execFlags.ApplyRuntime()
 	execAll, err := execFlags.ExecOptions()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bad flags: %v\n", err)
@@ -377,19 +373,6 @@ func main() {
 		}
 		fmt.Println()
 		snap.Probe = rows
-	}
-	if wants("kernel") {
-		fmt.Println("=== Ablation: SWAR batch kernels vs scalar fallback (fused batched plans) over the SSB suite [ms] ===")
-		rows, err := bench.AblationKernel(dataset(), *reps)
-		if err != nil {
-			fatal(err)
-		}
-		for _, r := range rows {
-			fmt.Printf("  Q%-4s kernel %8.1f ms  scalar %8.1f ms  materialized %8.1f ms  %5d SWAR / %d scalar descents  identical=%v\n",
-				r.Query, r.KernelMillis, r.ScalarMillis, r.MaterializedMillis, r.KernelDescents, r.ScalarDescents, r.Identical)
-		}
-		fmt.Println()
-		snap.Kernel = rows
 	}
 	if *benchjson != "" {
 		if err := appendSnapshot(*benchjson, snap); err != nil {

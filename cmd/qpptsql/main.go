@@ -69,7 +69,6 @@ func main() {
 	srvFlags := cliflags.RegisterServe(flag.CommandLine)
 	exec := cliflags.Register(flag.CommandLine)
 	flag.Parse()
-	exec.ApplyRuntime()
 
 	cfg, err := exec.EngineConfig()
 	if err != nil {

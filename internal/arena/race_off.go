@@ -1,6 +1,6 @@
 //go:build !race
 
-package kernel
+package arena
 
 // RaceEnabled reports whether the race detector is compiled in.
 const RaceEnabled = false

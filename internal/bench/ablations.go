@@ -8,7 +8,6 @@ import (
 
 	"qppt/internal/core"
 	"qppt/internal/duplist"
-	"qppt/internal/kernel"
 	"qppt/internal/kisstree"
 	"qppt/internal/prefixtree"
 	"qppt/internal/ssb"
@@ -448,91 +447,6 @@ func AblationProbe(ds *ssb.Dataset, reps int) ([]ProbeRow, error) {
 			MaterializedMillis: materializedMs,
 			ProbeBatches:       batches, AvgBatchFill: fill,
 			Identical: reflect.DeepEqual(batched, materialized),
-		})
-	}
-	return out, nil
-}
-
-// A KernelRow is one SSB query of the SWAR-kernel ablation: the fused
-// batched plan with the word-parallel kernels active (default) vs forced
-// through the scalar fallback (kernel.ForceGeneric — the -nokernel path)
-// vs fully materialized, with the descent-strategy counters and a
-// three-way bit-identity check.
-type KernelRow struct {
-	Query              string  `json:"query"`
-	KernelMillis       float64 `json:"kernelMillis"`       // fused+batched, SWAR kernels
-	ScalarMillis       float64 `json:"scalarMillis"`       // fused+batched, generic fallback
-	MaterializedMillis float64 `json:"materializedMillis"` // NoFuse
-	KernelDescents     int     `json:"kernelDescents"`     // batched lookups via the SWAR descent
-	ScalarDescents     int     `json:"scalarDescents"`     // batched lookups via the scalar job loop
-	Identical          bool    `json:"identical"`          // kernel rows == scalar rows == materialized rows
-}
-
-// AblationKernel isolates the SWAR batch kernels on the decomposed SSB
-// plans: same fused batched execution, with the level-synchronous kernel
-// descent and selection-vector predicate filters either active or forced
-// through the scalar fallback oracle, anchored against no fusion at all.
-// Identity across all three legs is the safety claim (the kernels are
-// bit-transparent); kernel <= scalar on the probe-heavy flights 2-4 is
-// the performance claim.
-func AblationKernel(ds *ssb.Dataset, reps int) ([]KernelRow, error) {
-	var out []KernelRow
-	for _, qid := range ssb.QueryIDs {
-		run := func(exec core.Options) (rows [][]uint64, stats *core.PlanStats, err error) {
-			r, st, e := ds.RunQPPT(qid, ssb.PlanOptions{Exec: exec})
-			if e != nil {
-				return nil, nil, fmt.Errorf("bench: Q%s (%+v): %w", qid, exec, e)
-			}
-			return r.Rows, st, nil
-		}
-		// Warm the lazily provisioned base indexes outside the timed region.
-		if _, _, err := run(core.Options{}); err != nil {
-			return nil, err
-		}
-		var err error
-		time := func(exec core.Options) float64 {
-			ms, _ := timeIt(reps, func() int {
-				r, _, e := run(exec)
-				if e != nil {
-					err = e
-					return 0
-				}
-				return len(r)
-			})
-			return ms
-		}
-		kernelMs := time(core.Options{})
-		restore := kernel.ForceGeneric()
-		scalarMs := time(core.Options{})
-		scalarRows, _, serr := run(core.Options{})
-		restore()
-		if err == nil {
-			err = serr
-		}
-		materializedMs := time(core.Options{NoFuse: true})
-		if err != nil {
-			return nil, err
-		}
-		// One stats pass supplies the descent counters and the identity check.
-		kernelRows, stats, err := run(core.Options{CollectStats: true})
-		if err != nil {
-			return nil, err
-		}
-		materialized, _, err := run(core.Options{NoFuse: true})
-		if err != nil {
-			return nil, err
-		}
-		kd, sd := 0, 0
-		for _, op := range stats.Ops {
-			kd += op.KernelDescents
-			sd += op.ScalarDescents
-		}
-		out = append(out, KernelRow{
-			Query: qid, KernelMillis: kernelMs, ScalarMillis: scalarMs,
-			MaterializedMillis: materializedMs,
-			KernelDescents:     kd, ScalarDescents: sd,
-			Identical: reflect.DeepEqual(kernelRows, scalarRows) &&
-				reflect.DeepEqual(kernelRows, materialized),
 		})
 	}
 	return out, nil

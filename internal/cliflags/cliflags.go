@@ -11,7 +11,6 @@ import (
 
 	"qppt"
 	"qppt/internal/core"
-	"qppt/internal/kernel"
 	"qppt/internal/spill"
 )
 
@@ -27,7 +26,6 @@ type Exec struct {
 	MmapThaw   bool
 	NoFuse     bool
 	ProbeBatch int
-	NoKernel   bool
 	MaxPlans   int
 	QueueDepth int
 	StmtCache  int
@@ -47,7 +45,6 @@ func Register(fs *flag.FlagSet) *Exec {
 	fs.BoolVar(&e.MmapThaw, "mmapthaw", false, "restore spilled intermediates via zero-copy mmap instead of copying")
 	fs.BoolVar(&e.NoFuse, "nofuse", false, "disable pipeline fusion: materialize every single-consumer intermediate index (fusion is on by default)")
 	fs.IntVar(&e.ProbeBatch, "probebatch", 0, "probe-forward batch size inside fused chains (1 = scalar forwarding, 0 = default; ignored under -nofuse)")
-	fs.BoolVar(&e.NoKernel, "nokernel", false, "disable the SWAR batch kernels: route tree descents and range-stream predicates through the scalar fallback")
 	fs.IntVar(&e.MaxPlans, "max-plans", 0, "admission cap on concurrently executing plans (0 = unlimited, no admission control)")
 	fs.IntVar(&e.QueueDepth, "queue-depth", 0, "per-session admission queue depth before queries are shed with ErrOverloaded (0 = default; needs -max-plans)")
 	fs.IntVar(&e.StmtCache, "stmtcache", 0, "per-connection prepared-statement cache capacity (0 = default, negative disables)")
@@ -72,15 +69,6 @@ func RegisterServe(fs *flag.FlagSet) *Serve {
 
 // Serving reports whether any serving-tier address was given.
 func (s *Serve) Serving() bool { return s.Listen != "" || s.HTTP != "" }
-
-// ApplyRuntime applies the process-global knobs that live outside
-// core.Options / qppt.Config — currently the batch-kernel dispatch
-// switch. Call once after flag parsing, before running queries.
-func (e *Exec) ApplyRuntime() {
-	if e.NoKernel {
-		kernel.ForceGeneric()
-	}
-}
 
 // budget parses the -membudget value (0 when empty).
 func (e *Exec) budget() (int64, error) {

@@ -234,8 +234,7 @@ func (ec *ExecContext) noteSink(p *pipeline) {
 	ec.opStats.ArrivalFlushes += p.snk.arrivalFlushes
 	ec.opStats.StreamedIn += p.fedRows
 	ec.opStats.ProbeLookups += p.lookups
-	ec.opStats.KernelDescents += p.kernelDescents
-	ec.opStats.ScalarDescents += p.scalarDescents
+	ec.opStats.ScalarDescents += p.descents
 	ec.opStats.Workers++
 	ec.opStats.Morsels += p.morsels
 	ec.opStats.WorkerMorsels = append(ec.opStats.WorkerMorsels, p.morsels)
@@ -292,12 +291,13 @@ type OperatorStats struct {
 	ArrivalFlushes int
 	StreamedIn     int
 	AvgBatchFill   float64
-	// KernelDescents/ScalarDescents split this operator's batched
-	// assisting-index lookups by the descent strategy the trees picked:
-	// the word-parallel SWAR kernel vs the scalar job loop (small
-	// batches, or kernels disabled via -nokernel / QPPT_KERNEL=off).
-	KernelDescents int
+	// ScalarDescents counts this operator's batched assisting-index
+	// descents: one LookupBatch per joinbuffer flush.
 	ScalarDescents int
+	// Deprecated: always 0. The trees have a single batched descent,
+	// counted in ScalarDescents; the field stays for readers of the old
+	// kernel/scalar split.
+	KernelDescents int
 	// Workers is the number of pool workers that contributed a partial
 	// output; Morsels the number of morsels they processed (1/1 for
 	// serial execution), and WorkerMorsels the morsels each of those
@@ -391,8 +391,8 @@ func (ps *PlanStats) String() string {
 	if ps.FusedEdges > 0 {
 		s += fmt.Sprintf("fusion: %d intermediate indexes skipped\n", ps.FusedEdges)
 	}
-	if kd, sd := ps.descents(); kd > 0 || sd > 0 {
-		s += fmt.Sprintf("kernels: %d SWAR descents, %d scalar\n", kd, sd)
+	if d := ps.descents(); d > 0 {
+		s += fmt.Sprintf("descents: %d batched\n", d)
 	}
 	for _, op := range ps.Ops {
 		if op.Fused {
@@ -434,14 +434,13 @@ func (ps *PlanStats) String() string {
 	return s
 }
 
-// descents sums the per-operator kernel/scalar descent split for the
-// plan-level stats line and the engine's serve-mode counters.
-func (ps *PlanStats) descents() (kernel, scalar int) {
+// descents sums the per-operator batched descents for the plan-level
+// stats line.
+func (ps *PlanStats) descents() (n int) {
 	for _, op := range ps.Ops {
-		kernel += op.KernelDescents
-		scalar += op.ScalarDescents
+		n += op.ScalarDescents
 	}
-	return kernel, scalar
+	return n
 }
 
 // A Plan is an executable QPPT operator DAG.

@@ -8,7 +8,6 @@ import (
 
 	"qppt/internal/arena"
 	"qppt/internal/duplist"
-	"qppt/internal/kernel"
 	"qppt/internal/key"
 )
 
@@ -137,18 +136,11 @@ type sink struct {
 	sortedFlushes  int // batches delivered (or verified) in key order
 	arrivalFlushes int // batches delivered in arrival order
 
-	// fwFiltered, when set, makes flushForward evaluate the consumer's
-	// key ranges (fwPredLo/fwPredHi, parallel arrays) over the whole
-	// buffered batch into the fwMask bitmask and compact the survivors by
-	// the fwSel selection vector before delivery — range-stream fusion's
-	// per-row predicate callback turned into two word-parallel passes.
-	// A filter with zero ranges drops everything (an empty KeyPred
-	// matches nothing), hence the flag rather than len()>0.
-	fwFiltered bool
-	fwPredLo   []uint64
-	fwPredHi   []uint64
-	fwMask     []uint64
-	fwSel      []uint32
+	// fwPred, when non-nil, makes flushForward drop every buffered
+	// combination whose key fails the consumer's predicate before
+	// delivery — range-stream fusion's per-row predicate applied once per
+	// batch. An empty (non-nil) KeyPred matches nothing.
+	fwPred KeyPred
 
 	keys      []uint64
 	rows      [][]uint64
@@ -188,8 +180,7 @@ type pipeline struct {
 	lookups int // probe-stage lookups issued (stats)
 	morsels int // morsels scanned through this pipeline (stats)
 
-	kernelDescents int // probe-stage flushes taking the SWAR kernel descent
-	scalarDescents int // probe-stage flushes taking the scalar job loop
+	descents int // probe-stage flushes, one batched descent each (stats)
 
 	// fedBatches/fedRows count the probe batches this pipeline *received*
 	// over its fused input edge and the combinations surviving the batch
@@ -351,26 +342,14 @@ func (p *pipeline) setForwardBatch(spec *OutputSpec, batch int, sorted bool, fw 
 }
 
 // setForwardFilter installs the consumer's key ranges on a batched
-// forwarding sink. flushForward then evaluates the predicate over each
-// buffered batch into a bitmask and compacts survivors by selection
-// vector, so the consumer's accept hook never sees a filtered-out
-// combination — this replaces range-stream fusion's per-row predMatch
-// callback. Must follow setForwardBatch on the same pipeline.
+// forwarding sink. flushForward then compacts each buffered batch to the
+// combinations whose key matches, so the consumer's accept hook never
+// sees a filtered-out combination. Must follow setForwardBatch on the
+// same pipeline.
 func (p *pipeline) setForwardFilter(pred KeyPred) {
-	s := p.snk
-	if s == nil || s.forwardBatch == nil {
-		return
+	if s := p.snk; s != nil && s.forwardBatch != nil {
+		s.fwPred = pred
 	}
-	s.fwFiltered = true
-	for _, r := range pred {
-		if r.Hi < r.Lo {
-			continue // inverted range matches nothing
-		}
-		s.fwPredLo = append(s.fwPredLo, r.Lo)
-		s.fwPredHi = append(s.fwPredHi, r.Hi)
-	}
-	s.fwMask = arena.NewChunk[uint64](p.rec, kernel.MaskWords(s.fwBatch))
-	s.fwSel = arena.NewChunk[uint32](p.rec, s.fwBatch)
 }
 
 // release parks the sink's recycler-backed probe buffers back in the
@@ -385,10 +364,7 @@ func (p *pipeline) release() {
 	arena.PutChunk(p.rec, s.fwPerm)
 	arena.PutChunk(p.rec, s.fwSort)
 	arena.PutChunk(p.rec, s.fwRows)
-	arena.PutChunk(p.rec, s.fwMask)
-	arena.PutChunk(p.rec, s.fwSel)
 	s.fwKeys, s.fwPerm, s.fwSort, s.fwRows = nil, nil, nil, nil
-	s.fwMask, s.fwSel = nil, nil
 }
 
 // feed pushes a completed base combination into the pipeline. The ctx slice
@@ -433,13 +409,7 @@ func (p *pipeline) flushStage(i int) {
 	}
 	ctxs, keys := st.ctxs, st.keys
 	p.lookups += len(keys)
-	// Mirror the trees' dispatch decision so the stats split (kernel vs
-	// scalar descents) reflects which inner loop actually ran.
-	if kernel.Batched(len(keys)) {
-		p.kernelDescents++
-	} else {
-		p.scalarDescents++
-	}
+	p.descents++
 	st.table.Idx.LookupBatch(keys, func(j int, vals *duplist.List) {
 		if vals == nil {
 			return // key absent: combination removed from the cross product
@@ -553,7 +523,7 @@ func (s *sink) flushForward() {
 	} else {
 		s.sortedFlushes++
 	}
-	if s.fwFiltered {
+	if s.fwPred != nil {
 		n = s.filterForward(n)
 		if n == 0 {
 			s.fwKeys, s.fwRows = s.fwKeys[:0], s.fwRows[:0]
@@ -570,16 +540,17 @@ func (s *sink) flushForward() {
 		s.fwKeys, s.fwRows = s.fwKeys[:0], s.fwRows[:0]
 		return
 	}
-	sorted, orKeys := kernel.SortedOr(keys)
 	switch {
-	case sorted:
+	case slices.IsSorted(keys):
 		s.forwardBatch(keys, rows, nil)
-	case orKeys < 1<<32:
+	case slices.Max(keys) < 1<<32:
 		// 32-bit keys (dimension and composed keys in practice): pack
 		// key<<32|index and value-sort — far cheaper than a comparator
 		// sort chasing the key array through the permutation. The index in
 		// the low bits makes the order stable by construction.
-		s.fwSort = kernel.PackKeyIdx(s.fwSort, keys)
+		for i, k := range keys {
+			s.fwSort = append(s.fwSort, k<<32|uint64(i))
+		}
 		slices.Sort(s.fwSort)
 		for _, v := range s.fwSort {
 			s.fwPerm = append(s.fwPerm, uint32(v))
@@ -605,48 +576,24 @@ func (s *sink) flushForward() {
 	s.fwKeys, s.fwRows = s.fwKeys[:0], s.fwRows[:0]
 }
 
-// filterForward evaluates the installed key ranges over the buffered
-// batch and compacts the survivors in place; it returns the survivor
-// count. The batch envelope (one MinMax scan) short-circuits the two
-// common extremes — a batch entirely inside one range skips the mask
-// pass, a batch disjoint from every range drops without one. Otherwise
-// one branch-free RangeMask pass per range builds the survivor bitmask
-// and MaskSel turns it into an ascending selection vector, so the
-// in-place compaction (j <= sel[j] always) never overwrites unread rows.
+// filterForward compacts the buffered batch in place to the
+// combinations whose key matches fwPred and returns the survivor count.
+// Survivors only ever move towards the front, so no unread row is
+// overwritten.
 func (s *sink) filterForward(n int) int {
-	if len(s.fwPredLo) == 0 {
-		return 0 // empty predicate matches nothing
-	}
-	keys := s.fwKeys[:n]
-	blo, bhi := kernel.MinMax(keys)
-	overlap := false
-	for r := range s.fwPredLo {
-		lo, hi := s.fwPredLo[r], s.fwPredHi[r]
-		if blo >= lo && bhi <= hi {
-			return n // whole batch inside one range
-		}
-		if bhi >= lo && blo <= hi {
-			overlap = true
-		}
-	}
-	if !overlap {
-		return 0 // batch disjoint from every range
-	}
-	mask := s.fwMask[:kernel.MaskWords(n)]
-	clear(mask)
-	for r := range s.fwPredLo {
-		kernel.RangeMask(mask, keys, s.fwPredLo[r], s.fwPredHi[r])
-	}
-	s.fwSel = kernel.MaskSel(s.fwSel[:0], mask, n)
 	w := s.rowWidth
-	for j, idx := range s.fwSel {
-		i := int(idx)
-		s.fwKeys[j] = s.fwKeys[i]
-		if w > 0 && j != i {
-			copy(s.fwRows[j*w:(j+1)*w], s.fwRows[i*w:(i+1)*w])
+	kept := 0
+	for i, k := range s.fwKeys[:n] {
+		if !predMatch(s.fwPred, k) {
+			continue
 		}
+		if kept != i {
+			s.fwKeys[kept] = k
+			copy(s.fwRows[kept*w:(kept+1)*w], s.fwRows[i*w:(i+1)*w])
+		}
+		kept++
 	}
-	return len(s.fwSel)
+	return kept
 }
 
 // flush issues the batched insert (materialization + indexing); a batched

@@ -3,8 +3,6 @@ package kisstree
 import (
 	"math/bits"
 	"sync"
-
-	"qppt/internal/kernel"
 )
 
 // onesBelow counts occupied slots below slot in a compressed node's bitmap,
@@ -42,19 +40,8 @@ func getPtrs(n int) *[]uint32 {
 }
 
 // LookupBatch resolves all keys and calls visit(i, leaf) for each, where
-// leaf is nil for absent keys. Batches large enough to amortize the setup
-// take the kernelized path (batch_kernel.go), which hoists the fragment
-// arithmetic into unrolled word-parallel sweeps; the loop below stays the
-// fallback and the oracle.
+// leaf is nil for absent keys.
 func (t *Tree) LookupBatch(keys []uint64, visit func(i int, lf *Leaf)) {
-	if kernel.Batched(len(keys)) {
-		t.lookupBatchKernel(keys, visit)
-		return
-	}
-	t.lookupBatchScalar(keys, visit)
-}
-
-func (t *Tree) lookupBatchScalar(keys []uint64, visit func(i int, lf *Leaf)) {
 	if len(keys) == 0 {
 		return
 	}

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"qppt/internal/kernel"
+	"qppt/internal/arena"
 )
 
 func kissBenchKeys(n int, seed int64) []uint64 {
@@ -60,7 +60,7 @@ func BenchmarkKissInsertBatch(b *testing.B) {
 // TestKissBatchAllocationFree pins the pooled-scratch satellite for the
 // KISS-Tree: after warm-up, batched lookups allocate nothing.
 func TestKissBatchAllocationFree(t *testing.T) {
-	if kernel.RaceEnabled {
+	if arena.RaceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector, so pooled scratch allocates by design")
 	}
 	keys := kissBenchKeys(1<<12, 61)

@@ -1,6 +1,7 @@
 package kisstree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -229,24 +230,53 @@ func TestPropertyOracle(t *testing.T) {
 	}
 }
 
+// checkLookupBatch requires LookupBatch to visit every batch position
+// exactly once, in order, with the same leaf as a per-key Lookup.
+func checkLookupBatch(t *testing.T, tr *Tree, batch []uint64, label string) {
+	t.Helper()
+	next := 0
+	tr.LookupBatch(batch, func(i int, lf *Leaf) {
+		if i != next {
+			t.Fatalf("%s: visit %d has index %d", label, next, i)
+		}
+		next++
+		if want := tr.Lookup(batch[i]); lf != want {
+			t.Fatalf("%s: batch[%d]=%d resolved a different leaf than Lookup", label, i, batch[i])
+		}
+	})
+	if next != len(batch) {
+		t.Fatalf("%s: visited %d of %d keys", label, next, len(batch))
+	}
+}
+
 func TestLookupBatchMatchesScalar(t *testing.T) {
 	for _, cfg := range configs() {
 		tr := MustNew(cfg)
 		rng := rand.New(rand.NewSource(29))
-		for i := 0; i < 10000; i++ {
+		present := make([]uint64, 10000)
+		for i := range present {
 			k := uint64(rng.Uint32() % 200000)
 			tr.Insert(k, []uint64{k})
+			present[i] = k
 		}
 		batch := make([]uint64, 4096)
 		for i := range batch {
 			batch[i] = uint64(rng.Uint32() % 400000)
 		}
-		tr.LookupBatch(batch, func(i int, lf *Leaf) {
-			scalar := tr.Lookup(batch[i])
-			if lf != scalar {
-				t.Fatalf("compress=%v: batch[%d]=%d mismatch", cfg.Compress, i, batch[i])
-			}
-		})
+		miss := make([]uint64, 300)
+		for i := range miss {
+			miss[i] = 400000 + uint64(rng.Uint32()%400000)
+		}
+		dup := make([]uint64, 64)
+		for i := range dup {
+			dup[i] = present[0]
+		}
+		label := fmt.Sprintf("compress=%v", cfg.Compress)
+		checkLookupBatch(t, tr, batch, label+" mixed")
+		checkLookupBatch(t, tr, present[:400], label+" all-hit")
+		checkLookupBatch(t, tr, nil, label+" empty")
+		checkLookupBatch(t, tr, dup, label+" all-dup")
+		checkLookupBatch(t, tr, miss, label+" all-miss")
 	}
 }
 

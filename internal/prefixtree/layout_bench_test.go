@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"qppt/internal/kernel"
+	"qppt/internal/arena"
 	"qppt/internal/prefixtree/ptrtree"
 )
 
@@ -150,7 +150,7 @@ func BenchmarkSyncScan(b *testing.B) {
 // TestLookupBatchAllocationFree pins the pooled-scratch satellite: after
 // warm-up, batched lookups on the arena tree allocate nothing.
 func TestLookupBatchAllocationFree(t *testing.T) {
-	if kernel.RaceEnabled {
+	if arena.RaceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector, so pooled scratch allocates by design")
 	}
 	keys := benchKeys(1<<12, 101)

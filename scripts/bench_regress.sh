@@ -12,10 +12,9 @@
 # The benchmark set covers the engine's hot kernels: the parallel
 # partition-wise merge, batched prefix-tree/KISS lookup and insert (arena
 # and pointer layouts), the synchronous index scan, the fused-chain
-# plan execution (fused vs materialized, serial and parallel), the SWAR
-# batch kernels (level-synchronous probe descent kernel vs scalar, and the
-# range-stream selection-vector path), and the one-key select-join that
-# only row-slice morsels parallelize (serial vs 2 and 4 workers).
+# plan execution (fused vs materialized, serial and parallel), batched
+# probe forwarding, and the one-key select-join that only row-slice
+# morsels parallelize (serial vs 2 and 4 workers).
 # Benchmarks run with -benchmem, so cmd/benchdiff gates allocs/op next to ns/op —
 # allocation regressions on the hot kernels fail CI even when wall time
 # hides them in runner noise.
@@ -32,8 +31,8 @@ cd "$(dirname "$0")/.."
 
 COUNT=${COUNT:-6}
 BENCHTIME=${BENCHTIME:-0.3s}
-PATTERN='BenchmarkMergePartials|BenchmarkInsertBatch|BenchmarkLookupBatch|BenchmarkSyncScan|BenchmarkKissLookupBatch|BenchmarkKissInsertBatch|BenchmarkFusedChain|BenchmarkBatchedProbe|BenchmarkProbeKernel|BenchmarkRangeStreamKernel|BenchmarkNarrowSelectJoin'
-PKGS="./internal/core ./internal/prefixtree ./internal/kisstree ./internal/kernel"
+PATTERN='BenchmarkMergePartials|BenchmarkInsertBatch|BenchmarkLookupBatch|BenchmarkSyncScan|BenchmarkKissLookupBatch|BenchmarkKissInsertBatch|BenchmarkFusedChain|BenchmarkBatchedProbe|BenchmarkNarrowSelectJoin'
+PKGS="./internal/core ./internal/prefixtree ./internal/kisstree"
 
 run_benches() { # $1 = count
   go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$1" $PKGS
