@@ -2,6 +2,7 @@ package kisstree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"qppt/internal/arena"
@@ -79,6 +80,35 @@ func TestKissBatchAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("LookupBatch allocates %.1f objects per batch, want 0", allocs)
+	}
+	_ = sink
+}
+
+// TestKissKernelAllocationFree pins the batch-lookup kernel on a
+// key-sorted batch, the shape fused chains deliver and the one that
+// drives the same-bucket memo: after warm-up it allocates nothing.
+func TestKissKernelAllocationFree(t *testing.T) {
+	if arena.RaceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector, so pooled scratch allocates by design")
+	}
+	keys := kissBenchKeys(1<<12, 73)
+	tr := MustNew(Config{})
+	for _, k := range keys {
+		tr.Insert(k, nil)
+	}
+	batch := slices.Clone(keys[:512])
+	slices.Sort(batch)
+	tr.LookupBatch(batch, func(int, *Leaf) {}) // warm the pool
+	var sink uint64
+	allocs := testing.AllocsPerRun(20, func() {
+		tr.LookupBatch(batch, func(_ int, lf *Leaf) {
+			if lf != nil {
+				sink += lf.Key
+			}
+		})
+	})
+	if allocs != 0 {
+		t.Fatalf("LookupBatch on a sorted batch allocates %.1f objects per batch, want 0", allocs)
 	}
 	_ = sink
 }

@@ -253,11 +253,9 @@ func TestLookupBatchMatchesScalar(t *testing.T) {
 	for _, cfg := range configs() {
 		tr := MustNew(cfg)
 		rng := rand.New(rand.NewSource(29))
-		present := make([]uint64, 10000)
-		for i := range present {
+		for i := 0; i < 10000; i++ {
 			k := uint64(rng.Uint32() % 200000)
 			tr.Insert(k, []uint64{k})
-			present[i] = k
 		}
 		batch := make([]uint64, 4096)
 		for i := range batch {
@@ -267,16 +265,41 @@ func TestLookupBatchMatchesScalar(t *testing.T) {
 		for i := range miss {
 			miss[i] = 400000 + uint64(rng.Uint32()%400000)
 		}
-		dup := make([]uint64, 64)
-		for i := range dup {
-			dup[i] = present[0]
-		}
 		label := fmt.Sprintf("compress=%v", cfg.Compress)
 		checkLookupBatch(t, tr, batch, label+" mixed")
-		checkLookupBatch(t, tr, present[:400], label+" all-hit")
-		checkLookupBatch(t, tr, nil, label+" empty")
-		checkLookupBatch(t, tr, dup, label+" all-dup")
 		checkLookupBatch(t, tr, miss, label+" all-miss")
+	}
+}
+
+// TestKissKernelMatchesScalar runs the batch-lookup kernel (the
+// root-then-node-then-content sweep behind LookupBatch) against per-key
+// Lookup — same hit set, same leaf identity, same visit order — on both
+// node layouts, across hits, misses, duplicates, and empty batches.
+func TestKissKernelMatchesScalar(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		tr := MustNew(Config{Compress: compress})
+		rng := rand.New(rand.NewSource(71))
+		present := make([]uint64, 400)
+		for i := range present {
+			present[i] = uint64(rng.Uint32())
+		}
+		tr.InsertBatch(present, nil)
+
+		batch := append([]uint64(nil), present...) // hits
+		batch = append(batch, present[:64]...)     // duplicates
+		for i := 0; i < 300; i++ {                 // mostly misses
+			batch = append(batch, uint64(rng.Uint32()))
+		}
+		same := make([]uint64, 64)
+		for i := range same {
+			same[i] = present[0]
+		}
+		label := fmt.Sprintf("compress=%v", compress)
+		checkLookupBatch(t, tr, batch, label+" mixed")
+		checkLookupBatch(t, tr, batch[:0], label+" empty")
+		checkLookupBatch(t, tr, batch[len(present):len(present)+64], label+" dup")
+		checkLookupBatch(t, tr, same, label+" all-dup")
+		checkLookupBatch(t, tr, batch[len(present)+64:], label+" mostly-miss")
 	}
 }
 

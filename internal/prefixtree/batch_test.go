@@ -45,10 +45,15 @@ func TestLookupBatchMatchesScalar(t *testing.T) {
 		batch = append(batch, rng.Uint64()) // mostly absent keys
 	}
 	checkLookupBatch(t, tr, batch, "default")
+}
 
-	// Tree geometries whose fragment arithmetic differs: an uneven last
-	// level (64%6, 20%8 and 64%5 != 0), narrow and single-bit keyspaces,
-	// the widest buckets, and a multi-column payload.
+// TestLookupBatchKernelMatchesScalar runs the batch-lookup kernel (the
+// level-synchronous job loop behind LookupBatch) against per-key Lookup
+// on tree geometries whose fragment arithmetic differs: an uneven last
+// level (64%6, 20%8 and 64%5 != 0), narrow and single-bit keyspaces, the
+// widest buckets, and a multi-column payload; each with mixed, empty,
+// all-duplicate and all-miss batches.
+func TestLookupBatchKernelMatchesScalar(t *testing.T) {
 	for _, cfg := range []Config{
 		{},
 		{PrefixLen: 6},

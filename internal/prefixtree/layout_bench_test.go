@@ -2,6 +2,7 @@ package prefixtree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"qppt/internal/arena"
@@ -166,6 +167,32 @@ func TestLookupBatchAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("LookupBatch allocates %.1f objects per batch, want 0", allocs)
+	}
+	_ = sink
+}
+
+// TestLookupBatchKernelAllocationFree pins the batch-lookup kernel on a
+// key-sorted batch, the shape fused chains deliver and the one that
+// drives the sorted-batch memo: after warm-up it allocates nothing.
+func TestLookupBatchKernelAllocationFree(t *testing.T) {
+	if arena.RaceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector, so pooled scratch allocates by design")
+	}
+	keys := benchKeys(1<<12, 103)
+	tr := buildArena(keys, benchRows(keys))
+	batch := slices.Clone(keys[:DefaultBatchSize])
+	slices.Sort(batch)
+	tr.LookupBatch(batch, func(int, *Leaf) {}) // warm the pool
+	var sink uint64
+	allocs := testing.AllocsPerRun(20, func() {
+		tr.LookupBatch(batch, func(_ int, lf *Leaf) {
+			if lf != nil {
+				sink += lf.Key
+			}
+		})
+	})
+	if allocs != 0 {
+		t.Fatalf("LookupBatch on a sorted batch allocates %.1f objects per batch, want 0", allocs)
 	}
 	_ = sink
 }
