@@ -5,7 +5,7 @@
 //	qpptbench -fig 3a|3b|7|8|9|joinbuffer|workers|kprime|compression|duplicates|batch|memlife|fusion|probe|engine|serve|all
 //	          [-sf 0.5] [-reps 3] [-sizes 1000000,4000000,16000000]
 //	          [-workers N] [-morsels M] [-buffer B] [-membudget 256MiB]
-//	          [-recycle] [-mmapthaw]
+//	          [-recycle]
 //	          [-benchjson BENCH_qppt.json] [-benchlabel PR-5]
 //
 // -benchjson appends a machine-readable perf snapshot (per-query ms, the
@@ -13,16 +13,17 @@
 // so the perf trajectory accumulates across PRs; -benchlabel names the
 // snapshot. A pre-history file holding a single snapshot object is
 // absorbed as the first history entry, and the retired arena-vs-pointer
-// layout and SWAR-kernel rows of older snapshots are preserved verbatim.
+// layout and SWAR-kernel rows and mmap-thaw flags of older snapshots are
+// preserved verbatim.
 //
 // -membudget runs the figure-7 QPPT rows a second time under that
 // intermediate-index memory budget (index spilling enabled) and records
 // them with a membudget= config label — the spill-enabled configuration of
-// the perf trajectory. Accepts plain bytes or K/M/G suffixes. -recycle and
-// -mmapthaw enable the plan-scoped chunk recycler and the zero-copy mmap
-// restore for the QPPT engine rows (and are recorded in the config
-// labels); -fig memlife runs the dedicated memory-lifecycle ablation
-// (allocs, GC pause, thaw bytes read) across those configurations;
+// the perf trajectory. Accepts plain bytes or K/M/G suffixes. -recycle
+// enables the plan-scoped chunk recycler for the QPPT engine rows (and is
+// recorded in the config label); -fig memlife runs the dedicated
+// memory-lifecycle ablation (allocs, GC pause, thaw bytes read) across
+// the baseline, recycler and spill configurations;
 // -fig fusion compares fused and materialized execution of the suite on
 // the decomposed plans (fused-edge counts, streamed combinations, and a
 // bit-identity check per query); -fig probe isolates the batched probe
@@ -73,24 +74,24 @@ import (
 // benchSnapshot is one perf record. -benchjson appends it to the snapshot
 // history so per-PR records accumulate into a perf trajectory.
 type benchSnapshot struct {
-	Label     string            `json:"label,omitempty"`
-	When      string            `json:"when,omitempty"`
-	SF        float64           `json:"sf"`
-	Workers   int               `json:"workers"`
-	GoMaxP    int               `json:"gomaxprocs"`
-	MemBudget int64             `json:"membudget,omitempty"`
-	Recycle   bool              `json:"recycle,omitempty"`
-	MmapThaw  bool              `json:"mmapthaw,omitempty"`
-	Queries   []bench.QueryTime `json:"queries,omitempty"`
-	// Layout and Kernel carry the retired arena-vs-pointer and SWAR-kernel
-	// ablations of older snapshots verbatim, so appending never rewrites
-	// recorded history.
-	Layout  json.RawMessage    `json:"layout,omitempty"`
-	MemLife []bench.MemLifeRow `json:"memlife,omitempty"`
-	Fusion  []bench.FusionRow  `json:"fusion,omitempty"`
-	Probe   []bench.ProbeRow   `json:"probe,omitempty"`
-	Kernel  json.RawMessage    `json:"kernel,omitempty"`
-	Serve   []bench.ServeRow   `json:"serve,omitempty"`
+	Label     string  `json:"label,omitempty"`
+	When      string  `json:"when,omitempty"`
+	SF        float64 `json:"sf"`
+	Workers   int     `json:"workers"`
+	GoMaxP    int     `json:"gomaxprocs"`
+	MemBudget int64   `json:"membudget,omitempty"`
+	Recycle   bool    `json:"recycle,omitempty"`
+	// RetiredMmap, Layout and Kernel carry the retired mmap-thaw flag and
+	// the arena-vs-pointer and SWAR-kernel ablations of older snapshots
+	// verbatim, so appending never rewrites recorded history.
+	RetiredMmap json.RawMessage    `json:"mmapthaw,omitempty"`
+	Queries     []bench.QueryTime  `json:"queries,omitempty"`
+	Layout      json.RawMessage    `json:"layout,omitempty"`
+	MemLife     []bench.MemLifeRow `json:"memlife,omitempty"`
+	Fusion      []bench.FusionRow  `json:"fusion,omitempty"`
+	Probe       []bench.ProbeRow   `json:"probe,omitempty"`
+	Kernel      json.RawMessage    `json:"kernel,omitempty"`
+	Serve       []bench.ServeRow   `json:"serve,omitempty"`
 }
 
 // benchHistory is the BENCH_qppt.json layout: snapshots in append order.
@@ -151,7 +152,7 @@ func main() {
 	snap := benchSnapshot{
 		Label: *benchlabel, When: time.Now().UTC().Format(time.RFC3339),
 		SF: *sf, Workers: exec.Workers, GoMaxP: runtime.GOMAXPROCS(0), MemBudget: budget,
-		Recycle: exec.Recycle, MmapThaw: exec.MmapThaw,
+		Recycle: exec.Recycle,
 	}
 
 	var sizes []int
@@ -210,9 +211,6 @@ func main() {
 			cfgLabel := fmt.Sprintf("membudget=%s", execFlags.MemBudget)
 			if exec.Recycle {
 				cfgLabel += ",recycle"
-			}
-			if exec.MmapThaw {
-				cfgLabel += ",mmapthaw"
 			}
 			srows, err := bench.QPPTTimes(dataset(), *reps, spillExec, cfgLabel)
 			if err != nil {
@@ -334,7 +332,7 @@ func main() {
 		snap.Serve = rows
 	}
 	if wants("memlife") {
-		fmt.Println("=== Ablation: plan memory lifecycle (recycler, mmap/partial thaw) over the SSB suite ===")
+		fmt.Println("=== Ablation: plan memory lifecycle (recycler, spill) over the SSB suite ===")
 		rows, err := bench.AblationMemLifecycle(dataset(), *reps)
 		if err != nil {
 			fatal(err)

@@ -9,7 +9,8 @@ import (
 )
 
 // history is a one-snapshot BENCH_qppt.json as an earlier qpptbench
-// wrote it, carrying rows of the retired SWAR-kernel ablation.
+// wrote it, carrying the retired mmap-thaw flag and rows of the retired
+// SWAR-kernel ablation.
 const history = `{
   "snapshots": [
     {
@@ -18,6 +19,9 @@ const history = `{
       "sf": 0.05,
       "workers": 1,
       "gomaxprocs": 2,
+      "membudget": 4194304,
+      "recycle": true,
+      "mmapthaw": true,
       "queries": [
         {
           "Query": "1.1",
@@ -44,8 +48,8 @@ const history = `{
 `
 
 // TestAppendSnapshotKeepsKernelRows appends a snapshot to a history that
-// holds retired kernel rows: the recorded snapshot, kernel rows included,
-// must survive byte-for-byte ahead of the new one.
+// holds retired kernel rows and mmap-thaw flag: the recorded snapshot,
+// retired keys included, must survive byte-for-byte ahead of the new one.
 func TestAppendSnapshotKeepsKernelRows(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_qppt.json")
 	if err := os.WriteFile(path, []byte(history), 0o644); err != nil {
@@ -74,7 +78,9 @@ func TestAppendSnapshotKeepsKernelRows(t *testing.T) {
 	if len(hist.Snapshots) != 2 {
 		t.Fatalf("got %d snapshots, want 2", len(hist.Snapshots))
 	}
-	if _, ok := hist.Snapshots[1]["kernel"]; ok {
-		t.Fatal("new snapshot carries a kernel section")
+	for _, retired := range []string{"kernel", "mmapthaw"} {
+		if _, ok := hist.Snapshots[1][retired]; ok {
+			t.Fatalf("new snapshot carries a %s key", retired)
+		}
 	}
 }

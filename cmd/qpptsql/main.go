@@ -6,7 +6,7 @@
 //
 //	qpptsql [-sf 0.05] [-stats] [-no-select-join] [-buffer 512]
 //	        [-workers N] [-morsels M] [-membudget 256MiB]
-//	        [-norecycle] [-recyclecap 256MiB] [-mmapthaw]
+//	        [-norecycle] [-recyclecap 256MiB]
 //	        [-max-plans N] [-queue-depth D] [-stmtcache C]
 //	        [-listen :5477] [-serve :8080]
 //
@@ -16,8 +16,8 @@
 // off, -recyclecap bounds it), and its spill budget
 // (-membudget spans concurrent statements; cold intermediates spill to
 // temp files and restore on access — results are identical, \stats and
-// \engine show the traffic). -mmapthaw restores spilled intermediates
-// zero-copy by adopting privately mapped spill-file pages. Byte flags
+// \engine show the traffic; a consumer that reads a key range restores
+// only the part of a spilled index that range touches). Byte flags
 // accept plain bytes or K/M/G suffixes (powers of 1024).
 //
 // Meta commands inside the shell:

@@ -57,11 +57,9 @@ type Config struct {
 	BufferSize int
 	// MemBudget caps the resident bytes of intermediate indexes across
 	// all concurrent plans; cold intermediates spill to SpillDir and thaw
-	// on access (0 = no spilling). MmapThaw selects the zero-copy restore
-	// path.
+	// on access (0 = no spilling).
 	MemBudget int64
 	SpillDir  string
-	MmapThaw  bool
 	// DisableRecycle turns the session chunk recycler off. By default the
 	// engine recycles: cross-plan chunk reuse is most of why a long-lived
 	// engine beats one-shot execution on steady query traffic.
@@ -148,7 +146,6 @@ func New(cfg Config) (*Engine, error) {
 		RecycleCap: recycleCap,
 		MemBudget:  cfg.MemBudget,
 		SpillDir:   cfg.SpillDir,
-		MmapThaw:   cfg.MmapThaw,
 	})
 	if err != nil {
 		return nil, err

@@ -125,9 +125,8 @@ func (a *Arena[T]) Bytes() int {
 
 // Reset drops every chunk, returning the arena to its post-Make state (the
 // chunk geometry is kept). Spilling uses it to detach element storage after
-// the elements were written out, and again to rebuild the arena on thaw.
-// With a recycler configured the chunks are cleared and parked for reuse
-// instead of going to the garbage collector.
+// the elements were written out. With a recycler configured the chunks are
+// cleared and parked for reuse instead of going to the garbage collector.
 func (a *Arena[T]) Reset() {
 	for _, c := range a.chunks {
 		PutChunk(a.rec, c)
@@ -170,14 +169,6 @@ type Slots struct {
 	n            int       // blocks ever allocated (excluding recycled)
 	free         []uint32  // recycled block ordinals
 	rec          *Recycler // optional chunk pool (SetRecycler)
-
-	// mappedN counts the leading chunks that alias an mmap-ed spill file
-	// (ReadChunksMapped). Mapped chunks are writable — the mapping is
-	// private, so stores copy pages instead of touching the file — but
-	// they are not heap memory: Reset/Detach must drop them without
-	// recycling, and Unmap copies them to the heap when the mapping has
-	// to outlive the arena's owner.
-	mappedN int
 }
 
 // slotsChunkTarget is the chunk allocation granularity in slots (256 KiB
@@ -216,22 +207,6 @@ func (s *Slots) grabChunk() []uint32 {
 		return c
 	}
 	return make([]uint32, 0, s.chunkWords())
-}
-
-// Mapped reports whether any chunk currently aliases an mmap-ed spill
-// file (see ReadChunksMapped).
-func (s *Slots) Mapped() bool { return s.mappedN > 0 }
-
-// Unmap copies every mapped chunk to the heap, so the arena survives the
-// unmapping of the spill file it was thawed from. A no-op for arenas with
-// no mapped chunks.
-func (s *Slots) Unmap() {
-	for i := 0; i < s.mappedN; i++ {
-		c := make([]uint32, len(s.chunks[i]), s.chunkWords())
-		copy(c, s.chunks[i])
-		s.chunks[i] = c
-	}
-	s.mappedN = 0
 }
 
 // Block returns block ord as a slice of its slots. The slice aliases

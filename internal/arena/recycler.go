@@ -168,8 +168,7 @@ func classOf[T any](capElems int) chunkClass {
 
 // PutChunk clears c and parks it for reuse. The caller must not touch c
 // afterwards; a later GetChunk may hand it out again. Chunks that alias
-// memory the caller does not own outright — e.g. mmap-adopted spill pages —
-// must never be put. A nil recycler (or a zero-capacity chunk) is a no-op.
+// memory the caller does not own outright must never be put. A nil recycler (or a zero-capacity chunk) is a no-op.
 func PutChunk[T any](r *Recycler, c []T) {
 	if r == nil || cap(c) == 0 {
 		return

@@ -7,7 +7,8 @@
 // chunks verbatim in one sequential pass; Arena[T] cannot be dumped
 // generically (T may embed Go pointers, e.g. a content leaf's duplicate
 // list), so its owner serializes the elements itself and rebuilds them
-// index-for-index with Reset + Alloc on thaw.
+// index-for-index with Alloc on thaw (package indexfmt does this for the
+// content leaves of both tree kinds).
 //
 // The word helpers reinterpret slices as raw bytes (unsafe.Slice) — spill
 // files live for one plan execution on the machine that wrote them, so
@@ -15,7 +16,6 @@
 package arena
 
 import (
-	"bytes"
 	"encoding/binary"
 	"io"
 	"unsafe"
@@ -108,20 +108,18 @@ func (s *Slots) SnapshotLen() int {
 
 // Detach drops the chunk storage and free list; the caller must have
 // written the content out with WriteChunks first. With a recycler
-// configured, heap chunks are cleared and parked for reuse (mapped chunks
-// are simply dropped — their pages belong to the spill file mapping).
-// Until ReadChunks restores the chunks, only Bytes (now 0) and the
-// block/free counters remain meaningful.
+// configured, the chunks are cleared and parked for reuse. Until
+// ReadChunks restores the chunks, only Bytes (now 0) and the block/free
+// counters remain meaningful.
 func (s *Slots) Detach() {
-	for i := s.mappedN; i < len(s.chunks); i++ {
-		PutChunk(s.rec, s.chunks[i])
+	for _, c := range s.chunks {
+		PutChunk(s.rec, c)
 	}
 	s.chunks = nil
 	s.free = nil
-	s.mappedN = 0
 }
 
-// ReadFrom rebuilds the chunks from a WriteChunks stream, byte-identical:
+// ReadChunks rebuilds the chunks from a WriteChunks stream, byte-identical:
 // every block ordinal maps to the same slots as before the spill, so the
 // compact pointers held by other structures stay valid. The receiver must
 // have the same geometry as the writer (same MakeSlots block length).
@@ -152,181 +150,5 @@ func (s *Slots) ReadChunks(r io.Reader) error {
 	s.n = n
 	s.free = free
 	s.chunks = chunks
-	s.mappedN = 0
 	return nil
 }
-
-// ReadChunksMapped is ReadChunks over an mmap-ed spill file: full chunks
-// are *adopted* — the arena's chunk slices alias the mapped pages, so no
-// copy happens and untouched pages are only faulted in when a scan reaches
-// them. The partially filled tail chunk is copied to the heap at full
-// capacity so later Alloc growth keeps the stable-address guarantee (an
-// adopted chunk has no spare capacity to append into). The mapping is
-// private, so block writes (Free's zeroing, in-place updates) trigger
-// page-level copy-on-write instead of touching the file.
-//
-// The caller owns the mapping and must keep it alive until the chunks are
-// dropped (Detach/Reset) or copied out (Unmap).
-func (s *Slots) ReadChunksMapped(r *MapReader) error {
-	n64, err := ReadU64(r)
-	if err != nil {
-		return err
-	}
-	nFree, err := ReadU64(r)
-	if err != nil {
-		return err
-	}
-	n := int(n64)
-	free := make([]uint32, nFree)
-	if err := ReadU32s(r, free); err != nil {
-		return err
-	}
-	perChunk := 1 << s.perChunkBits
-	chunks := make([][]uint32, 0, (n+perChunk-1)/perChunk)
-	mappedN := 0
-	adopting := true
-	for got := 0; got < n; got += perChunk {
-		blocks := min(perChunk, n-got)
-		words := blocks << s.blockBits
-		if adopting && blocks == perChunk {
-			if view, ok := r.U32View(words); ok {
-				chunks = append(chunks, view)
-				mappedN++
-				continue
-			}
-		}
-		adopting = false // mapped chunks must stay a prefix of s.chunks
-		c := s.grabChunk()[:words]
-		if err := ReadU32s(r, c); err != nil {
-			return err
-		}
-		chunks = append(chunks, c)
-	}
-	s.n = n
-	s.free = free
-	s.chunks = chunks
-	s.mappedN = mappedN
-	return nil
-}
-
-// LeafChunkDir builds the per-chunk directory a partial thaw navigates
-// by: one {min key, max key, byte length} triple per arena chunk, where
-// min/max range over the live elements (liveKey reports ok == false for
-// recycled zero elements, which carry no data) and size reports each
-// element's serialized byte length. A chunk with no live elements gets
-// the empty sentinel min > max, so no key range ever selects it.
-func LeafChunkDir[T any](a *Arena[T], size func(*T) uint64, liveKey func(*T) (uint64, bool)) []uint64 {
-	chunkSize := uint32(1) << a.bits
-	nChunks := (a.Len() + int(chunkSize) - 1) / int(chunkSize)
-	dir := make([]uint64, 0, 3*nChunks)
-	minK, maxK, bytes := ^uint64(0), uint64(0), uint64(0)
-	flush := func() {
-		dir = append(dir, minK, maxK, bytes)
-		minK, maxK, bytes = ^uint64(0), 0, 0
-	}
-	a.Scan(func(idx uint32, lf *T) bool {
-		if idx > 0 && idx&(chunkSize-1) == 0 {
-			flush()
-		}
-		if k, ok := liveKey(lf); ok {
-			minK, maxK = min(minK, k), max(maxK, k)
-		}
-		bytes += size(lf)
-		return true
-	})
-	if a.Len() > 0 {
-		flush()
-	}
-	return dir
-}
-
-// ThawChunks is the chunk skip/restore loop of a partial thaw, shared by
-// both tree kinds. f must be positioned at the first chunk's serialized
-// data; dir is the LeafChunkDir directory; thawed tracks per-chunk
-// restore state across additive calls (ignored when skim is set — a
-// fully resident structure just seeks to the stream end). Chunks whose
-// key range intersects [lo, hi] and are not yet thawed are read in one
-// ReadFull and rebuilt element-by-element through restore; all others
-// are skipped with a seek. Returns the bytes actually read and whether
-// every chunk is now restored.
-func ThawChunks[T any](f io.ReadSeeker, a *Arena[T], n uint64, dir []uint64,
-	thawed []bool, skim bool, lo, hi uint64,
-	restore func(r io.Reader, lf *T) error) (int64, bool, error) {
-	chunkSize := uint64(1) << a.bits
-	var nRead int64
-	var buf []byte
-	full := true
-	for ci := uint64(0); ci*3 < uint64(len(dir)); ci++ {
-		minK, maxK, nb := dir[3*ci], dir[3*ci+1], dir[3*ci+2]
-		if !skim && !thawed[ci] && minK > maxK {
-			thawed[ci] = true // no live elements: zero is already right
-		}
-		if skim || thawed[ci] || minK > hi || maxK < lo {
-			full = full && (skim || thawed[ci])
-			if _, err := f.Seek(int64(nb), io.SeekCurrent); err != nil {
-				return nRead, false, err
-			}
-			continue
-		}
-		if uint64(cap(buf)) < nb {
-			buf = make([]byte, nb)
-		}
-		buf = buf[:nb]
-		if _, err := io.ReadFull(f, buf); err != nil {
-			return nRead, false, err
-		}
-		nRead += int64(nb)
-		br := bytes.NewReader(buf)
-		base := ci * chunkSize
-		cnt := min(chunkSize, n-base)
-		for j := uint64(0); j < cnt; j++ {
-			if err := restore(br, a.At(uint32(base+j))); err != nil {
-				return nRead, false, err
-			}
-		}
-		thawed[ci] = true
-	}
-	return nRead, full, nil
-}
-
-// A MapReader reads a freeze stream out of an mmap-ed spill file. It is a
-// plain io.Reader for the parts a thaw must rebuild (content leaves,
-// compressed nodes), and hands out zero-copy []uint32 views of the mapped
-// pages for the parts an arena can adopt verbatim. Copied reports how many
-// bytes went through the copying path — the bytes a zero-copy thaw
-// actually read, as opposed to mapped.
-type MapReader struct {
-	data   []byte
-	off    int
-	copied int64
-}
-
-// NewMapReader wraps a mapped spill file.
-func NewMapReader(data []byte) *MapReader { return &MapReader{data: data} }
-
-// Read implements io.Reader over the mapping, counting copied bytes.
-func (r *MapReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	r.copied += int64(n)
-	return n, nil
-}
-
-// U32View returns the next n uint32 values as a slice aliasing the mapped
-// pages, advancing the reader past them. ok is false — and the reader does
-// not advance — when the current offset is not 4-byte aligned or the
-// mapping is too short; callers then fall back to a copying read.
-func (r *MapReader) U32View(n int) ([]uint32, bool) {
-	if r.off%4 != 0 || r.off+4*n > len(r.data) {
-		return nil, false
-	}
-	v := unsafe.Slice((*uint32)(unsafe.Pointer(&r.data[r.off])), n)
-	r.off += 4 * n
-	return v, true
-}
-
-// Copied reports the bytes delivered through Read (the copying path).
-func (r *MapReader) Copied() int64 { return r.copied }

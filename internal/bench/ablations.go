@@ -216,15 +216,12 @@ func memLifeSuite(ds *ssb.Dataset, exec core.Options) (thawRead int64, reused in
 
 // AblationMemLifecycle compares the plan memory-lifecycle configurations
 // on the whole SSB suite: the GC baseline, the plan-scoped chunk
-// recycler, and spilling with the copying, mmap (zero-copy), and
-// mmap+recycler restore paths. The spill rows run under a 1-byte budget —
+// recycler, and spilling. The spill row runs under a 1-byte budget —
 // every cold intermediate spills and every re-read restores — because
-// that is the configuration that isolates the restore-path difference:
-// under a realistic budget the restore traffic depends on the scale
-// factor, and a budget above the peak shows nothing at all. The
-// interesting columns are allocations and GC pause (recycler) and thaw
-// bytes read (the mmap restore adopts the tree interior instead of
-// copying it).
+// that is the configuration that isolates the spill cost: under a
+// realistic budget the restore traffic depends on the scale factor, and
+// a budget above the peak shows nothing at all. The interesting columns
+// are allocations and GC pause (recycler) and thaw bytes read (spill).
 func AblationMemLifecycle(ds *ssb.Dataset, reps int) ([]MemLifeRow, error) {
 	type cfg struct {
 		name string
@@ -234,8 +231,6 @@ func AblationMemLifecycle(ds *ssb.Dataset, reps int) ([]MemLifeRow, error) {
 		{"baseline", core.Options{}},
 		{"recycle", core.Options{Recycle: true}},
 		{"spill-all", core.Options{MemBudget: 1}},
-		{"spill-all+mmap", core.Options{MemBudget: 1, MmapThaw: true}},
-		{"spill-all+mmap+recycle", core.Options{MemBudget: 1, MmapThaw: true, Recycle: true}},
 	}
 	for i := range cfgs {
 		// The lifecycle under measurement is allocate → spill → thaw →

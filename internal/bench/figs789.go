@@ -186,7 +186,6 @@ func EngineReuseCompare(ds *ssb.Dataset, reps int, exec core.Options, recycleCap
 		Recycle:    true,
 		RecycleCap: recycleCap,
 		MemBudget:  exec.MemBudget,
-		MmapThaw:   exec.MmapThaw,
 	})
 	if err != nil {
 		return nil, arena.RecyclerStats{}, err

@@ -64,7 +64,6 @@ func serveOnce(ds *ssb.Dataset, exec core.Options, maxPlans, clients, passes int
 		MorselsPerWorker: exec.MorselsPerWorker,
 		BufferSize:       exec.BufferSize,
 		MemBudget:        exec.MemBudget,
-		MmapThaw:         exec.MmapThaw,
 		DisableFusion:    exec.NoFuse,
 		ProbeBatch:       exec.ProbeBatch,
 		MaxPlans:         maxPlans,

@@ -1,6 +1,6 @@
 // Package cliflags is the single home of the execution knobs both CLIs
 // (cmd/qpptbench, cmd/qpptsql) expose: worker pool size, morsel fan-out,
-// joinbuffer size, memory budget, chunk recycling and mmap thaw. Register
+// joinbuffer size, memory budget, chunk recycling and fusion. Register
 // once, then resolve the parsed values into per-query core.Options or a
 // long-lived qppt.Config — future knobs are added here and appear in both
 // commands with identical names, defaults and help texts.
@@ -23,7 +23,6 @@ type Exec struct {
 	RecycleCap string
 	Recycle    bool
 	NoRecycle  bool
-	MmapThaw   bool
 	NoFuse     bool
 	ProbeBatch int
 	MaxPlans   int
@@ -42,7 +41,6 @@ func Register(fs *flag.FlagSet) *Exec {
 	fs.BoolVar(&e.Recycle, "recycle", false, "recycle dropped intermediates' chunks within each one-shot plan (engine mode recycles across plans by default; see -norecycle)")
 	fs.BoolVar(&e.NoRecycle, "norecycle", false, "disable the engine's cross-plan chunk recycler (on by default in engine mode)")
 	fs.StringVar(&e.RecycleCap, "recyclecap", "", "byte cap on the engine chunk pool (e.g. 256MiB); empty = engine default")
-	fs.BoolVar(&e.MmapThaw, "mmapthaw", false, "restore spilled intermediates via zero-copy mmap instead of copying")
 	fs.BoolVar(&e.NoFuse, "nofuse", false, "disable pipeline fusion: materialize every single-consumer intermediate index (fusion is on by default)")
 	fs.IntVar(&e.ProbeBatch, "probebatch", 0, "probe-forward batch size inside fused chains (1 = scalar forwarding, 0 = default; ignored under -nofuse)")
 	fs.IntVar(&e.MaxPlans, "max-plans", 0, "admission cap on concurrently executing plans (0 = unlimited, no admission control)")
@@ -99,7 +97,6 @@ func (e *Exec) ExecOptions() (core.Options, error) {
 		BufferSize:       e.Buffer,
 		MemBudget:        budget,
 		Recycle:          e.Recycle,
-		MmapThaw:         e.MmapThaw,
 		NoFuse:           e.NoFuse,
 		ProbeBatch:       e.ProbeBatch,
 	}, nil
@@ -120,7 +117,6 @@ func (e *Exec) EngineConfig() (qppt.Config, error) {
 		MorselsPerWorker: e.Morsels,
 		BufferSize:       e.Buffer,
 		MemBudget:        budget,
-		MmapThaw:         e.MmapThaw,
 		DisableRecycle:   e.NoRecycle,
 		DisableFusion:    e.NoFuse,
 		ProbeBatch:       e.ProbeBatch,

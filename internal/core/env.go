@@ -40,11 +40,10 @@ type EnvConfig struct {
 	Recycle    bool
 	RecycleCap int64
 	// MemBudget caps the resident bytes of intermediate indexes across
-	// every plan sharing this Env (0 = no spilling); SpillDir and
-	// MmapThaw configure the spill manager as in Options.
+	// every plan sharing this Env (0 = no spilling); SpillDir places the
+	// spill files as in Options.
 	MemBudget int64
 	SpillDir  string
-	MmapThaw  bool
 }
 
 // NewEnv builds a long-lived execution environment.
@@ -55,7 +54,7 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		env.rec.SetCap(cfg.RecycleCap)
 	}
 	if cfg.MemBudget > 0 {
-		mgr, err := newSpillManager(cfg.MemBudget, cfg.SpillDir, cfg.MmapThaw)
+		mgr, err := newSpillManager(cfg.MemBudget, cfg.SpillDir)
 		if err != nil {
 			return nil, err
 		}
@@ -68,8 +67,8 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 // budget knobs — NewEnv builds the environment-scoped manager through it
 // and RunCtx the plan-private one (a budget passed in Options against a
 // spill-less shared Env), so the two paths cannot drift apart.
-func newSpillManager(budget int64, dir string, mmap bool) (*spill.Manager, error) {
-	return spill.NewConfig(spill.Config{Budget: budget, Dir: dir, Mmap: mmap})
+func newSpillManager(budget int64, dir string) (*spill.Manager, error) {
+	return spill.NewConfig(spill.Config{Budget: budget, Dir: dir})
 }
 
 // Workers reports the shared pool size.
@@ -110,6 +109,5 @@ func ephemeralEnv(opts Options) (*Env, error) {
 		Recycle:   opts.Recycle,
 		MemBudget: opts.MemBudget,
 		SpillDir:  opts.SpillDir,
-		MmapThaw:  opts.MmapThaw,
 	})
 }

@@ -62,13 +62,6 @@ type Options struct {
 	// chunk shapes through the garbage collector once per operator.
 	// Results are identical either way.
 	Recycle bool
-	// MmapThaw restores spilled intermediates by memory-mapping the
-	// spill file (privately) and adopting the mapped pages as the index
-	// arenas' chunks — the tree interior is never copied and untouched
-	// pages fault in lazily. Platforms or index kinds without mmap
-	// support silently fall back to the copying restore. Results are
-	// identical either way.
-	MmapThaw bool
 	// CollectStats gathers per-operator execution statistics.
 	CollectStats bool
 	// AdmissionWait is how long the plan waited in an admission queue
@@ -342,12 +335,10 @@ type PlanStats struct {
 	SpillBytes   int64
 	RestoreBytes int64
 	PeakResident int64
-	// RestoreBytesRead counts the spill-file bytes actually copied during
-	// restores (mmap-adopted pages and range-skipped chunks excluded);
-	// MmapRestores and PartialRestores count the zero-copy and
+	// RestoreBytesRead counts the spill-file bytes restores actually
+	// read (range-skipped chunks excluded); PartialRestores counts the
 	// range-restricted restore events.
 	RestoreBytesRead int64
-	MmapRestores     int
 	PartialRestores  int
 	// ChunksRecycled/ChunksReused/RecycleSavedBytes aggregate the plan
 	// recycler's traffic under Options.Recycle: chunks parked in the
@@ -379,9 +370,8 @@ func (ps *PlanStats) String() string {
 			spill.FormatBytes(ps.MemBudget), ps.Spills, spill.FormatBytes(ps.SpillBytes),
 			ps.Restores, spill.FormatBytes(ps.RestoreBytes), spill.FormatBytes(ps.RestoreBytesRead),
 			spill.FormatBytes(ps.PeakResident))
-		if ps.MmapRestores > 0 || ps.PartialRestores > 0 {
-			s += fmt.Sprintf("  %d mmap (zero-copy) restores, %d partial (range-restricted) restores\n",
-				ps.MmapRestores, ps.PartialRestores)
+		if ps.PartialRestores > 0 {
+			s += fmt.Sprintf("  %d partial (range-restricted) restores\n", ps.PartialRestores)
 		}
 	}
 	if ps.ChunksRecycled > 0 || ps.ChunksReused > 0 {
@@ -471,7 +461,7 @@ func (pl *Plan) Run(opts Options) (*IndexedTable, *PlanStats, error) {
 // across every plan using it, parks dropped intermediates' chunks in its
 // session recycler (opts.Workers and opts.Recycle are then ignored —
 // those are environment properties), and registers intermediates with its
-// shared spill manager (opts.MemBudget/SpillDir/MmapThaw are ignored when
+// shared spill manager (opts.MemBudget/SpillDir are ignored when
 // the env carries a manager; a spill-less env honors opts.MemBudget with
 // a plan-private manager). The plan's result is detached from a shared
 // manager before returning, so it stays valid however long it outlives
@@ -505,7 +495,7 @@ func (pl *Plan) RunCtx(ctx context.Context, env *Env, opts Options) (*IndexedTab
 	}
 	ownSpill := env.spill == nil && shared && opts.MemBudget > 0
 	if ownSpill {
-		mgr, err := newSpillManager(opts.MemBudget, opts.SpillDir, opts.MmapThaw)
+		mgr, err := newSpillManager(opts.MemBudget, opts.SpillDir)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -596,8 +586,7 @@ func (pl *Plan) RunCtx(ctx context.Context, env *Env, opts Options) (*IndexedTab
 	}
 	if ex.spill != nil && (!shared || ownSpill) {
 		// The result index must survive Close: thaw it and stop evicting
-		// it (the pin is never released — the manager is done). Close
-		// materializes any mmap-adopted chunks before unmapping.
+		// it (the pin is never released — the manager is done).
 		if h := ex.handleOf(out); h != nil {
 			//qpptvet:ignore pinbalance intentionally permanent: the result index must outlive the manager (see comment above)
 			if err := h.PinCtx(ctx); err != nil {
@@ -611,7 +600,6 @@ func (pl *Plan) RunCtx(ctx context.Context, env *Env, opts Options) (*IndexedTab
 			stats.Spills, stats.Restores = ms.Spills-spill0.Spills, ms.Restores-spill0.Restores
 			stats.SpillBytes, stats.RestoreBytes = ms.SpillBytes-spill0.SpillBytes, ms.RestoreBytes-spill0.RestoreBytes
 			stats.RestoreBytesRead = ms.RestoreBytesRead - spill0.RestoreBytesRead
-			stats.MmapRestores = ms.MmapRestores - spill0.MmapRestores
 			stats.PartialRestores = ms.PartialRestores - spill0.PartialRestores
 			// Peak is a high-water mark; under a shared manager report how
 			// much this plan raised it (0 = stayed under the engine's
@@ -770,7 +758,7 @@ func (ex *executor) releaseInput(op Operator, t *IndexedTable) {
 		h.Drop()
 	}
 	if ex.rec != nil {
-		if rc, ok := t.Idx.(chunkRecycler); ok {
+		if rc, ok := t.Idx.(storedIndex); ok {
 			rc.Recycle()
 		}
 	}
@@ -1014,7 +1002,7 @@ func (pl *Plan) Release(out *IndexedTable) {
 	if _, base := pl.Root.(*Base); base {
 		return
 	}
-	if rc, ok := out.Idx.(chunkRecycler); ok {
+	if rc, ok := out.Idx.(storedIndex); ok {
 		rc.Recycle()
 	}
 }

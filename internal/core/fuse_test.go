@@ -129,7 +129,7 @@ func TestFusedMatchesMaterialized(t *testing.T) {
 		{Workers: 3},
 		{MemBudget: 1},
 		{Workers: 3, MemBudget: 1},
-		{Workers: 3, MemBudget: 1, MmapThaw: true, Recycle: true},
+		{Workers: 3, MemBudget: 1, Recycle: true},
 	} {
 		opt.CollectStats = true
 		out, stats, err := mkPlan().Run(opt)

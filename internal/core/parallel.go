@@ -351,7 +351,7 @@ func combinePartials(ec *ExecContext, spec *OutputSpec, partials []*IndexedTable
 	}
 	if ec.rec != nil {
 		for _, p := range partials {
-			if rc, ok := p.Idx.(chunkRecycler); ok && p != out {
+			if rc, ok := p.Idx.(storedIndex); ok && p != out {
 				rc.Recycle()
 			}
 		}

@@ -38,7 +38,7 @@ func TestRecycleMatchesBaseline(t *testing.T) {
 		{Recycle: true},
 		{Recycle: true, Workers: 3},
 		{Recycle: true, Workers: 3, MemBudget: 1},
-		{Recycle: true, Workers: 3, MemBudget: 1, MmapThaw: true},
+		{Recycle: true, Workers: 3, MemBudget: 1},
 	} {
 		opt.CollectStats = true
 		// The drop→reuse cycle needs the selection intermediate to be

@@ -3,80 +3,48 @@ package core
 import (
 	"io"
 
-	"qppt/internal/arena"
 	"qppt/internal/spill"
 )
 
 // Spill support for intermediate indexes (paper motivation: QPPT builds an
 // index per operator, so total intermediate-index footprint — not the base
 // tables — caps the runnable scale factor). The index adapters forward the
-// trees' freeze/thaw chunk hooks — including the zero-copy mmap thaw and
-// the range-restricted partial thaw — and the executor registers every
-// non-base operator output with a plan-scoped spill.Manager when
+// trees' storage hooks (package indexfmt), and the executor registers
+// every non-base operator output with a plan-scoped spill.Manager when
 // Options.MemBudget is set.
 
-func (p ptIndex) WriteSnapshot(w io.Writer) error { return p.t.WriteSnapshot(w) }
-func (p ptIndex) Release()                        { p.t.Release() }
-func (p ptIndex) Thaw(r io.Reader) error          { return p.t.Thaw(r) }
-func (p ptIndex) ThawMapped(mr *arena.MapReader) error {
-	return p.t.ThawMapped(mr)
-}
-func (p ptIndex) ThawRange(f io.ReadSeeker, lo, hi uint64) (int64, bool, error) {
-	return p.t.ThawRange(f, lo, hi)
-}
-func (p ptIndex) Materialize() { p.t.Materialize() }
-func (p ptIndex) Recycle()     { p.t.Recycle() }
-
-func (k kissIndex) WriteSnapshot(w io.Writer) error { return k.t.WriteSnapshot(w) }
-func (k kissIndex) Release()                        { k.t.Release() }
-func (k kissIndex) Thaw(r io.Reader) error          { return k.t.Thaw(r) }
-func (k kissIndex) ThawMapped(mr *arena.MapReader) error {
-	return k.t.ThawMapped(mr)
-}
-func (k kissIndex) ThawRange(f io.ReadSeeker, lo, hi uint64) (int64, bool, error) {
-	return k.t.ThawRange(f, lo, hi)
-}
-func (k kissIndex) Materialize() { k.t.Materialize() }
-func (k kissIndex) Recycle()     { k.t.Recycle() }
-
-func (p ptIndex) Frozen() bool   { return p.t.Frozen() }
-func (k kissIndex) Frozen() bool { return k.t.Frozen() }
-
-// chunkRecycler is implemented by every index kind whose chunk storage
-// can be dropped into the plan recycler when the last consumer is done.
-type chunkRecycler interface {
+// A storedIndex is an index whose storage can spill, be restored by key
+// range, and be dropped into the plan recycler when the last consumer is
+// done: both tree adapters and the sharded index over them.
+type storedIndex interface {
+	spill.Freezer
 	Recycle()
-}
-
-// frozenIndex reports whether an index's storage is currently detached
-// (spilled); the sharded rollback below uses it to find the shards a
-// failed multi-shard restore left resident.
-type frozenIndex interface {
 	Frozen() bool
 }
 
-// rollbackThaw releases every shard that is no longer frozen, returning
-// the sharded index to the fully frozen state the plain thaw paths
-// require. A multi-shard restore that fails midway leaves earlier shards
-// resident (and, under mmap, aliasing mapped pages); without the
-// rollback a later full Thaw would fail forever on the first shard's
-// "not frozen" guard — and the resident shard bytes would escape the
-// budget accounting.
-func (s *shardedIndex) rollbackThaw() {
-	for _, sh := range s.shards {
-		if fr, ok := sh.(frozenIndex); ok && !fr.Frozen() {
-			sh.(spill.Freezer).Release()
-		}
-	}
+func (p ptIndex) WriteSnapshot(w io.Writer) error { return p.t.WriteSnapshot(w) }
+func (p ptIndex) Release()                        { p.t.Release() }
+func (p ptIndex) Recycle()                        { p.t.Recycle() }
+func (p ptIndex) Frozen() bool                    { return p.t.Frozen() }
+func (p ptIndex) ThawRange(f io.ReadSeeker, lo, hi uint64) (int64, bool, error) {
+	return p.t.ThawRange(f, lo, hi)
+}
+
+func (k kissIndex) WriteSnapshot(w io.Writer) error { return k.t.WriteSnapshot(w) }
+func (k kissIndex) Release()                        { k.t.Release() }
+func (k kissIndex) Recycle()                        { k.t.Recycle() }
+func (k kissIndex) Frozen() bool                    { return k.t.Frozen() }
+func (k kissIndex) ThawRange(f io.ReadSeeker, lo, hi uint64) (int64, bool, error) {
+	return k.t.ThawRange(f, lo, hi)
 }
 
 // WriteSnapshot writes every shard into one stream, in shard order; the
 // merge bounds, key ranges and counters stay resident. Because no shard
 // detaches until Release, an error midway through the stream leaves every
-// shard intact. The thaw paths restore the shards in the same order.
+// shard intact. ThawRange restores the shards in the same order.
 func (s *shardedIndex) WriteSnapshot(w io.Writer) error {
 	for _, sh := range s.shards {
-		if err := sh.(spill.Freezer).WriteSnapshot(w); err != nil {
+		if err := sh.(storedIndex).WriteSnapshot(w); err != nil {
 			return err
 		}
 	}
@@ -85,57 +53,42 @@ func (s *shardedIndex) WriteSnapshot(w io.Writer) error {
 
 func (s *shardedIndex) Release() {
 	for _, sh := range s.shards {
-		sh.(spill.Freezer).Release()
+		sh.(storedIndex).Release()
 	}
 }
 
-func (s *shardedIndex) Thaw(r io.Reader) error {
+// Frozen reports whether every shard is spilled. A restore from the
+// frozen state either brings every shard back or rolls them all back.
+func (s *shardedIndex) Frozen() bool {
 	for _, sh := range s.shards {
-		if err := sh.(spill.Freezer).Thaw(r); err != nil {
-			s.rollbackThaw()
-			return err
+		if !sh.(storedIndex).Frozen() {
+			return false
 		}
 	}
-	return nil
-}
-
-// ThawMapped adopts each shard's chunks out of the shared mapped stream.
-// On error every shard is rolled back to frozen and no shard references
-// the mapping, so the caller may unmap it and retry any thaw path.
-func (s *shardedIndex) ThawMapped(mr *arena.MapReader) error {
-	for _, sh := range s.shards {
-		if err := sh.(spill.MappedThawer).ThawMapped(mr); err != nil {
-			s.rollbackThaw()
-			return err
-		}
-	}
-	return nil
+	return true
 }
 
 // ThawRange forwards the consumer's range to every shard: a shard whose
 // key range misses [lo, hi] restores only its interior and skips all its
 // leaf chunks, so the range-restricted restore stays proportional to the
 // touched data however the merge sharded it. A mid-stream error on a
-// fresh (fully frozen) restore rolls every shard back to frozen; on a
-// top-up the previously resident portions stay intact, matching the
-// manager's resident-on-error handling.
+// restore from the frozen state releases the shards restored so far, so
+// the index reads as frozen again and a later call can retry; on a top-up
+// the previously resident portions stay intact, matching the manager's
+// resident-on-error handling.
 func (s *shardedIndex) ThawRange(f io.ReadSeeker, lo, hi uint64) (int64, bool, error) {
-	fresh := true
-	for _, sh := range s.shards {
-		if fr, ok := sh.(frozenIndex); ok && !fr.Frozen() {
-			fresh = false
-			break
-		}
-	}
+	fresh := s.Frozen()
 	var total int64
 	full := true
-	for _, sh := range s.shards {
-		n, shFull, err := sh.(spill.RangeThawer).ThawRange(f, lo, hi)
+	for i, sh := range s.shards {
+		n, shFull, err := sh.(storedIndex).ThawRange(f, lo, hi)
 		total += n
 		full = full && shFull
 		if err != nil {
 			if fresh {
-				s.rollbackThaw()
+				for _, done := range s.shards[:i] {
+					done.(storedIndex).Release()
+				}
 			}
 			return total, false, err
 		}
@@ -143,26 +96,18 @@ func (s *shardedIndex) ThawRange(f io.ReadSeeker, lo, hi uint64) (int64, bool, e
 	return total, full, nil
 }
 
-func (s *shardedIndex) Materialize() {
-	for _, sh := range s.shards {
-		if mz, ok := sh.(spill.Materializer); ok {
-			mz.Materialize()
-		}
-	}
-}
-
 func (s *shardedIndex) Recycle() {
 	for _, sh := range s.shards {
-		if rc, ok := sh.(chunkRecycler); ok {
-			rc.Recycle()
+		if st, ok := sh.(storedIndex); ok {
+			st.Recycle()
 		}
 	}
 }
 
-// freezerOf returns the index's spill hook, or nil for index kinds that
-// cannot detach their storage (none of the built-in kinds today; the
+// freezerOf returns the index's storage hooks, or nil for index kinds
+// that cannot detach their storage (none of the built-in kinds today; the
 // check keeps custom Index implementations safely resident).
-func freezerOf(idx Index) spill.Freezer {
+func freezerOf(idx Index) storedIndex {
 	switch v := idx.(type) {
 	case *shardedIndex:
 		for _, sh := range v.shards {
@@ -171,7 +116,7 @@ func freezerOf(idx Index) spill.Freezer {
 			}
 		}
 		return v
-	case spill.Freezer:
+	case storedIndex:
 		return v
 	}
 	return nil

@@ -76,10 +76,16 @@ func TestShardedIndexFreezeThaw(t *testing.T) {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	fz.Release()
-	if err := fz.Thaw(&buf); err != nil {
-		t.Fatalf("Thaw: %v", err)
+	if !sh.Frozen() {
+		t.Fatal("released sharded index not frozen")
 	}
-	_ = sh
+	_, full, err := fz.ThawRange(bytes.NewReader(buf.Bytes()), 0, ^uint64(0))
+	if err != nil {
+		t.Fatalf("ThawRange: %v", err)
+	}
+	if !full || sh.Frozen() {
+		t.Fatal("full-span ThawRange left the sharded index incomplete")
+	}
 	assertSameTable(t, plain, merged)
 }
 
@@ -152,17 +158,17 @@ func TestShardedThawRollsBackOnError(t *testing.T) {
 	snapshot := buf.Bytes()
 
 	// A truncated stream fails partway through the shard sequence…
-	if err := sh.Thaw(bytes.NewReader(snapshot[:len(snapshot)*2/3])); err == nil {
+	if _, _, err := sh.ThawRange(bytes.NewReader(snapshot[:len(snapshot)*2/3]), 0, ^uint64(0)); err == nil {
 		t.Fatal("truncated thaw did not fail")
 	}
 	// …and the rollback must leave every shard frozen again,
 	for _, shard := range sh.shards {
-		if !shard.(frozenIndex).Frozen() {
+		if !shard.(storedIndex).Frozen() {
 			t.Fatal("shard left resident after failed multi-shard thaw")
 		}
 	}
 	// …so a retry from the intact snapshot fully recovers.
-	if err := sh.Thaw(bytes.NewReader(snapshot)); err != nil {
+	if _, _, err := sh.ThawRange(bytes.NewReader(snapshot), 0, ^uint64(0)); err != nil {
 		t.Fatalf("retry thaw after rollback: %v", err)
 	}
 	assertSameTable(t, want, merged)

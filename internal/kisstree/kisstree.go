@@ -32,6 +32,7 @@ import (
 
 	"qppt/internal/arena"
 	"qppt/internal/duplist"
+	"qppt/internal/indexfmt"
 )
 
 const (
@@ -82,28 +83,14 @@ type Tree struct {
 	nodes arena.Slots
 	// cnodes are the compressed second-level nodes (bitmap + dense array).
 	cnodes []cnode
-	// leaves holds the content nodes; slot values are leaf index + 1.
-	leaves arena.Arena[Leaf]
-	// slab feeds duplicate-segment and first-row storage for all lists of
-	// this tree, replacing per-key allocations with a few large blocks.
-	slab *duplist.Slab
+	// leaves holds the content nodes (slot values are leaf index + 1),
+	// their row slab and the spill state (package indexfmt).
+	leaves indexfmt.Store
 
 	keys, rows       int
 	minKey, maxKey   uint32
 	copies           int // RCU node copies performed (compression cost metric)
 	touchedRootPages int // root pages written at least once (memory metric)
-
-	// frozen marks a tree whose chunk storage is spilled (see spill.go);
-	// counters and bounds stay valid, everything else is on disk.
-	frozen bool
-	// partial marks a tree whose leaf payloads were only partially
-	// restored by ThawRange; thawedChunks records which leaf chunks are
-	// back. Only keys inside the thawed ranges may be queried.
-	partial      bool
-	thawedChunks []bool
-	// rootMapped marks root page chunks that alias an mmap-ed spill file
-	// (ThawMapped); they must not be recycled, only dropped or copied.
-	rootMapped bool
 }
 
 // cnode is a bitmask-compressed second-level node: a 64-bit occupancy
@@ -113,13 +100,9 @@ type cnode struct {
 	entries []uint32
 }
 
-// A Leaf is a content node: the full key and the payload row list. The
-// list is embedded by value so that reaching the first payload row from a
-// leaf costs no extra pointer chase.
-type Leaf struct {
-	Key  uint64
-	Vals duplist.List
-}
+// A Leaf is a content node: the full key and the payload row list
+// (shared with the prefix tree, see indexfmt.Leaf).
+type Leaf = indexfmt.Leaf
 
 const leafChunkBits = 13 // 8192 leaves (~512 KB) per chunk
 
@@ -133,12 +116,10 @@ func New(cfg Config) (*Tree, error) {
 		cfg:    cfg,
 		root:   make([][]uint32, rootChunks),
 		nodes:  arena.MakeSlots(nodeSlots),
-		leaves: arena.Make[Leaf](leafChunkBits),
-		slab:   duplist.NewSlabIn(cfg.Recycler),
+		leaves: indexfmt.NewStore(kissFreezeMagic, leafChunkBits, cfg.PayloadWidth, cfg.Recycler),
 		minKey: ^uint32(0),
 	}
 	t.nodes.SetRecycler(cfg.Recycler)
-	t.leaves.SetRecycler(cfg.Recycler)
 	return t, nil
 }
 
@@ -216,11 +197,11 @@ func (t *Tree) Insert(key uint64, row []uint64) {
 func (t *Tree) addRow(lf *Leaf, row []uint64) {
 	if t.cfg.Fold != nil {
 		was := lf.Vals.Len()
-		lf.Vals.AggregateIn(t.slab, row, t.cfg.Fold)
+		lf.Vals.AggregateIn(t.leaves.Slab, row, t.cfg.Fold)
 		t.rows += lf.Vals.Len() - was
 		return
 	}
-	lf.Vals.AppendIn(t.slab, row)
+	lf.Vals.AppendIn(t.leaves.Slab, row)
 	t.rows++
 }
 
@@ -487,9 +468,6 @@ func (t *Tree) Bytes() int {
 		b += len(t.cnodes[i].entries) * 4
 	}
 	b += t.leaves.Bytes()
-	if t.slab != nil {
-		b += t.slab.Bytes()
-	}
 	// Root: the directory plus the chunks actually faulted in.
 	b += rootChunks * 8
 	for _, c := range t.root {

@@ -10,9 +10,34 @@ import (
 	"testing"
 )
 
-// Freeze/Thaw must round-trip the KISS-Tree — root page directory, node
-// arena, compressed nodes and content leaves — in both node layouts, and
-// the thawed tree must keep working as a live index.
+// freeze snapshots tr and releases its storage, returning the snapshot.
+func freeze(t *testing.T, tr *Tree) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteSnapshot(&buf); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	tr.Release()
+	return buf.Bytes()
+}
+
+// thawAll restores tr from snap over the full key span and checks that
+// the restore reports itself complete.
+func thawAll(t *testing.T, tr *Tree, snap []byte) {
+	t.Helper()
+	_, full, err := tr.ThawRange(bytes.NewReader(snap), 0, ^uint64(0))
+	if err != nil {
+		t.Fatalf("ThawRange: %v", err)
+	}
+	if !full || tr.Frozen() || tr.Partial() {
+		t.Fatalf("full-span ThawRange left the tree incomplete (full=%v)", full)
+	}
+}
+
+// A snapshot and a full-span ThawRange must round-trip the KISS-Tree —
+// root page directory, node arena, compressed nodes and content leaves —
+// in both node layouts, and the thawed tree must keep working as a live
+// index.
 func TestKissFreezeThawRoundTrip(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		tr := MustNew(Config{PayloadWidth: 2, Compress: compress})
@@ -71,30 +96,19 @@ func TestKissFreezeThawRoundTrip(t *testing.T) {
 		check("before freeze")
 
 		resident := tr.Bytes()
-		var buf bytes.Buffer
-		if err := tr.Freeze(&buf); err != nil {
-			t.Fatalf("compress=%v: Freeze: %v", compress, err)
-		}
+		snap := freeze(t, tr)
 		if !tr.Frozen() {
 			t.Fatal("tree not marked frozen")
 		}
 		if tr.Bytes() >= resident/4 {
 			t.Fatalf("compress=%v: frozen tree still holds %d of %d bytes", compress, tr.Bytes(), resident)
 		}
-		if err := tr.Thaw(&buf); err != nil {
-			t.Fatalf("compress=%v: Thaw: %v", compress, err)
-		}
+		thawAll(t, tr, snap)
 		check("after thaw")
 
 		insert(1000)
 		check("after post-thaw inserts")
-		var buf2 bytes.Buffer
-		if err := tr.Freeze(&buf2); err != nil {
-			t.Fatalf("compress=%v: second Freeze: %v", compress, err)
-		}
-		if err := tr.Thaw(&buf2); err != nil {
-			t.Fatalf("compress=%v: second Thaw: %v", compress, err)
-		}
+		thawAll(t, tr, freeze(t, tr))
 		check("after second thaw")
 	}
 }
@@ -114,12 +128,13 @@ func TestKissThawRangePartialRestore(t *testing.T) {
 	}
 	defer f.Close()
 	bw := bufio.NewWriter(f)
-	if err := tr.Freeze(bw); err != nil {
+	if err := tr.WriteSnapshot(bw); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	tr.Release()
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		t.Fatal(err)
 	}

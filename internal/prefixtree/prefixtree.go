@@ -39,6 +39,7 @@ import (
 
 	"qppt/internal/arena"
 	"qppt/internal/duplist"
+	"qppt/internal/indexfmt"
 )
 
 // Config parameterizes a Tree.
@@ -103,35 +104,17 @@ type Tree struct {
 	rows   int    // total payload rows
 
 	// nodes stores each inner node as one block of fanout tagged slots;
-	// leaves stores the content nodes. Both arenas have stable addresses,
-	// so *Leaf results stay valid while the tree grows.
+	// leaves stores the content nodes, their row slab and the spill
+	// state. Both arenas have stable addresses, so *Leaf results stay
+	// valid while the tree grows.
 	nodes      arena.Slots
-	leaves     arena.Arena[Leaf]
+	leaves     indexfmt.Store
 	freeLeaves []uint32 // recycled leaf indexes (from Delete)
-
-	// slab feeds duplicate-segment and first-row storage for all of this
-	// tree's lists, so index construction allocates large blocks instead
-	// of per-key objects.
-	slab *duplist.Slab
-
-	// frozen marks a tree whose chunk storage is spilled (see spill.go);
-	// counters and geometry stay valid, everything else is on disk.
-	frozen bool
-	// partial marks a tree whose leaf payloads were only partially
-	// restored by ThawRange; thawedChunks records which leaf chunks are
-	// back. Only keys inside the union of the thawed ranges may be
-	// queried — leaves of skipped chunks read as empty zero leaves.
-	partial      bool
-	thawedChunks []bool
 }
 
-// A Leaf is a content node: the full key (required because dynamic
-// expansion loses path information) plus all payload rows for that key.
-// The row list is embedded by value to avoid a pointer chase per access.
-type Leaf struct {
-	Key  uint64
-	Vals duplist.List
-}
+// A Leaf is a content node: the key plus all payload rows for that key
+// (shared with the KISS-Tree, see indexfmt.Leaf).
+type Leaf = indexfmt.Leaf
 
 // New creates an empty tree. It returns an error for out-of-range
 // configuration values.
@@ -145,11 +128,9 @@ func New(cfg Config) (*Tree, error) {
 		mask:   uint64(1)<<cfg.PrefixLen - 1,
 		levels: int((cfg.KeyBits + cfg.PrefixLen - 1) / cfg.PrefixLen),
 		nodes:  arena.MakeSlots(1 << cfg.PrefixLen),
-		leaves: arena.Make[Leaf](leafChunkBits),
-		slab:   duplist.NewSlabIn(cfg.Recycler),
+		leaves: indexfmt.NewStore(freezeMagic, leafChunkBits, cfg.PayloadWidth, cfg.Recycler),
 	}
 	t.nodes.SetRecycler(cfg.Recycler)
-	t.leaves.SetRecycler(cfg.Recycler)
 	t.nodes.Alloc() // the root, ordinal 0
 	return t, nil
 }
@@ -227,11 +208,11 @@ func (t *Tree) Insert(key uint64, row []uint64) {
 func (t *Tree) addRow(lf *Leaf, row []uint64) {
 	if t.cfg.Fold != nil {
 		was := lf.Vals.Len()
-		lf.Vals.AggregateIn(t.slab, row, t.cfg.Fold)
+		lf.Vals.AggregateIn(t.leaves.Slab, row, t.cfg.Fold)
 		t.rows += lf.Vals.Len() - was
 		return
 	}
-	lf.Vals.AppendIn(t.slab, row)
+	lf.Vals.AppendIn(t.leaves.Slab, row)
 	t.rows++
 }
 
@@ -475,11 +456,7 @@ func (t *Tree) Max() (uint64, bool) {
 // estimate tracks what actually sits in the heap; a frozen (spilled) tree
 // reports only its residual in-memory state.
 func (t *Tree) Bytes() int {
-	b := t.nodes.Bytes() + t.leaves.Bytes()
-	if t.slab != nil {
-		b += t.slab.Bytes()
-	}
-	return b
+	return t.nodes.Bytes() + t.leaves.Bytes()
 }
 
 // Nodes reports the number of live inner nodes, for memory accounting

@@ -10,10 +10,37 @@ import (
 	"testing"
 )
 
-// Freeze must detach the tree's heap footprint and Thaw must restore an
-// index that answers every observable query identically — including after
-// deletes punched holes into the node and leaf free lists, and across
-// another mutation + freeze cycle.
+// freeze snapshots tr and releases its storage, returning the snapshot.
+func freeze(t *testing.T, tr *Tree) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteSnapshot(&buf); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	tr.Release()
+	return buf.Bytes()
+}
+
+// thawAll restores tr from snap over the full key span and checks that
+// the restore reports itself complete and read no more than the snapshot.
+func thawAll(t *testing.T, tr *Tree, snap []byte) {
+	t.Helper()
+	n, full, err := tr.ThawRange(bytes.NewReader(snap), 0, ^uint64(0))
+	if err != nil {
+		t.Fatalf("ThawRange: %v", err)
+	}
+	if !full || tr.Frozen() || tr.Partial() {
+		t.Fatalf("full-span ThawRange left the tree incomplete (full=%v)", full)
+	}
+	if n > int64(len(snap)) {
+		t.Fatalf("ThawRange read %d bytes of a %d-byte snapshot", n, len(snap))
+	}
+}
+
+// Release must detach the tree's heap footprint and a full-span ThawRange
+// must restore an index that answers every observable query identically —
+// including after deletes punched holes into the node and leaf free
+// lists, and across another mutation + freeze cycle.
 func TestFreezeThawRoundTrip(t *testing.T) {
 	for _, cfg := range []Config{
 		{PrefixLen: 4, KeyBits: 64, PayloadWidth: 2},
@@ -86,10 +113,7 @@ func TestFreezeThawRoundTrip(t *testing.T) {
 		check("before freeze")
 
 		resident := tr.Bytes()
-		var buf bytes.Buffer
-		if err := tr.Freeze(&buf); err != nil {
-			t.Fatalf("Freeze: %v", err)
-		}
+		snap := freeze(t, tr)
 		if !tr.Frozen() {
 			t.Fatal("tree not marked frozen")
 		}
@@ -99,29 +123,18 @@ func TestFreezeThawRoundTrip(t *testing.T) {
 		if tr.Keys() != len(model) {
 			t.Fatalf("frozen tree lost counters: Keys = %d", tr.Keys())
 		}
-		if err := tr.Freeze(&buf); err == nil {
-			t.Fatal("double Freeze did not fail")
+		if err := tr.WriteSnapshot(io.Discard); err == nil {
+			t.Fatal("WriteSnapshot on a frozen tree did not fail")
 		}
 
-		if err := tr.Thaw(bytes.NewReader(buf.Bytes())); err != nil {
-			t.Fatalf("Thaw: %v", err)
-		}
-		if tr.Frozen() {
-			t.Fatal("thawed tree still marked frozen")
-		}
+		thawAll(t, tr, snap)
 		check("after thaw")
 
 		// The thawed tree must keep working as a live index: mutate, then
 		// freeze/thaw again to prove the free lists survived.
 		insert(500)
 		check("after post-thaw inserts")
-		var buf2 bytes.Buffer
-		if err := tr.Freeze(&buf2); err != nil {
-			t.Fatalf("second Freeze: %v", err)
-		}
-		if err := tr.Thaw(&buf2); err != nil {
-			t.Fatalf("second Thaw: %v", err)
-		}
+		thawAll(t, tr, freeze(t, tr))
 		check("after second thaw")
 	}
 }
@@ -137,13 +150,7 @@ func TestFreezeThawFoldingTree(t *testing.T) {
 		tr.Insert(k, []uint64{uint64(i)})
 		want[k] += uint64(i)
 	}
-	var buf bytes.Buffer
-	if err := tr.Freeze(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Thaw(&buf); err != nil {
-		t.Fatal(err)
-	}
+	thawAll(t, tr, freeze(t, tr))
 	for k, sum := range want {
 		lf := tr.Lookup(k)
 		if lf == nil || lf.Vals.Len() != 1 || lf.Vals.First()[0] != sum {
@@ -161,12 +168,13 @@ func freezeToFile(t *testing.T, tr *Tree) *os.File {
 		t.Fatal(err)
 	}
 	bw := bufio.NewWriter(f)
-	if err := tr.Freeze(bw); err != nil {
-		t.Fatalf("Freeze: %v", err)
+	if err := tr.WriteSnapshot(bw); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	tr.Release()
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		t.Fatal(err)
 	}
@@ -249,5 +257,26 @@ func TestThawRangePartialRestore(t *testing.T) {
 	})
 	if !same || tr.Keys() != full.Keys() {
 		t.Fatal("completed tree differs from the never-frozen one")
+	}
+}
+
+// A snapshot cut short inside chunks a range thaw only skips must still
+// fail — seeking past the end of a stream succeeds on files and readers —
+// and leave the tree frozen, so the intact snapshot can be thawed after.
+func TestThawRangeRejectsTruncatedTail(t *testing.T) {
+	tr := MustNew(Config{PrefixLen: 4, KeyBits: 32, PayloadWidth: 1})
+	for i := 0; i < 40000; i++ {
+		tr.Insert(uint64(i), []uint64{uint64(i)})
+	}
+	snap := freeze(t, tr)
+	if _, _, err := tr.ThawRange(bytes.NewReader(snap[:len(snap)-1]), 0, 100); err == nil {
+		t.Fatal("ThawRange of a truncated snapshot succeeded")
+	}
+	if !tr.Frozen() {
+		t.Fatal("failed ThawRange left the tree resident")
+	}
+	thawAll(t, tr, snap)
+	if tr.Keys() != 40000 || tr.Lookup(39999) == nil {
+		t.Fatal("retry from the intact snapshot did not restore the tree")
 	}
 }

@@ -22,17 +22,10 @@
 // spilling concurrently. Each entry's I/O itself stays one sequential
 // pass — the pattern the chunk layout is designed for.
 //
-// Three restore paths exist:
-//
-//   - the plain copying thaw (always available);
-//   - a zero-copy mmap thaw (Config.Mmap): the spill file is mapped
-//     privately and structures that implement MappedThawer adopt the
-//     mapped pages as their arena chunks, so the tree interior is never
-//     copied and untouched pages fault in lazily. Unsupported platforms
-//     and structures fall back to the copying path;
-//   - a partial thaw (Handle.PinRange): structures that implement
-//     RangeThawer restore only the leaf chunks a consumer's key range
-//     touches, using the per-chunk directory their freeze format records.
+// There is one restore path, Freezer.ThawRange. A full Pin asks for the
+// whole key span; Handle.PinRange asks for a consumer's key range, and
+// the structure restores only the leaf chunks that range touches, using
+// the per-chunk directory its snapshot records (package indexfmt).
 //
 // Registered structures are read-only after registration (operators build
 // an index once, then only scan and probe it); the manager exploits that
@@ -48,13 +41,11 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"qppt/internal/arena"
 )
 
 // A Freezer can snapshot its storage into a byte stream, detach it, and
 // restore it later. Both QPPT tree kinds (and the sharded index over
-// them) implement it via their arena chunk export.
+// them) implement it through package indexfmt.
 //
 // Snapshot and Release are split so the manager can sequence them safely
 // around file I/O: Release is called only after the snapshot is flushed
@@ -68,30 +59,11 @@ type Freezer interface {
 	// Release detaches the storage a successful WriteSnapshot captured;
 	// the structure must not be used again until thawed.
 	Release()
-	// Thaw restores storage previously written by WriteSnapshot.
-	Thaw(r io.Reader) error
-}
-
-// A MappedThawer can additionally restore itself zero-copy from an
-// mmap-ed snapshot, adopting the mapped pages as its chunk storage.
-type MappedThawer interface {
-	Freezer
-	ThawMapped(r *arena.MapReader) error
-}
-
-// A Materializer can copy any mmap-adopted storage back to the heap, so
-// it survives the unmapping of its spill file (the manager materializes
-// still-pinned mapped entries at Close — e.g. the plan's result index).
-type Materializer interface {
-	Materialize()
-}
-
-// A RangeThawer can restore just enough state to serve queries inside a
-// key range, reading only the chunks that range touches. Calls are
-// additive; a call spanning the full key space completes the restore
-// (full == true).
-type RangeThawer interface {
-	Freezer
+	// ThawRange restores, from a stream WriteSnapshot wrote, just
+	// enough state to serve queries inside [lo, hi], reading only what
+	// that range needs. Calls are additive; a call spanning the full
+	// key space, ThawRange(f, 0, ^uint64(0)), completes the restore
+	// (full == true).
 	ThawRange(f io.ReadSeeker, lo, hi uint64) (bytesRead int64, full bool, err error)
 }
 
@@ -104,15 +76,13 @@ type Stats struct {
 	// resident bytes they brought back.
 	Restores     int
 	RestoreBytes int64
-	// RestoreBytesRead counts the spill-file bytes actually *copied*
-	// during restores: the whole file on a plain thaw, only the rebuilt
-	// leaf sections on an mmap thaw (adopted pages fault lazily), and
-	// only the selected chunks on a partial thaw.
+	// RestoreBytesRead counts the spill-file bytes restores actually
+	// read: the node sections, the leaf directory and the leaf chunks
+	// that were restored. Chunks outside a partial thaw's range, and
+	// chunks without a live leaf, are skipped with a seek.
 	RestoreBytesRead int64
-	// MmapRestores counts zero-copy (mmap-adopting) thaws;
 	// PartialRestores counts range-restricted thaw passes, including
 	// top-ups of an already partially resident entry.
-	MmapRestores    int
 	PartialRestores int
 	// Resident is the current tracked residency, Peak its high-water mark.
 	Resident int64
@@ -127,9 +97,6 @@ type Config struct {
 	// Dir is where spill files go; empty creates a private temp directory
 	// that Close removes.
 	Dir string
-	// Mmap selects the zero-copy restore path for structures that support
-	// it; ignored (with a copying fallback) where mmap is unavailable.
-	Mmap bool
 }
 
 // A Manager owns the spill state of one plan execution.
@@ -139,7 +106,6 @@ type Manager struct {
 	dir    string
 	ownDir bool // dir was created by New and is removed by Close
 	budget int64
-	mmap   bool
 	clock  uint64
 	nextID int
 	all    []*Handle
@@ -164,7 +130,7 @@ func NewConfig(cfg Config) (*Manager, error) {
 	} else if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("spill: %w", err)
 	}
-	m := &Manager{dir: dir, ownDir: ownDir, budget: cfg.Budget, mmap: cfg.Mmap && mmapSupported}
+	m := &Manager{dir: dir, ownDir: ownDir, budget: cfg.Budget}
 	m.cond = sync.NewCond(&m.mu)
 	return m, nil
 }
@@ -194,11 +160,10 @@ type Handle struct {
 	bytes     int64 // tracked resident size
 	pins      int
 	state     entryState
-	partial   bool // resident, but only partially thawed (RangeThawer)
+	partial   bool // resident, but only partially thawed (PinRange)
 	failed    bool // freeze failed once; never retried, stays resident
 	dropped   bool // executor dropped the intermediate; file gone
 	fileValid bool // spill file holds a complete snapshot
-	mapping   []byte
 	// cov are the key intervals a partial entry is guaranteed to serve
 	// (each interval was one ThawRange argument; overlapping/adjacent
 	// intervals merged). Empty when fully resident or frozen.
@@ -282,7 +247,7 @@ func (m *Manager) Register(label string, obj Freezer, size func() int) *Handle {
 // Pin makes the handle's structure fully resident (thawing it if frozen
 // or partially thawed) and protects it from eviction until the matching
 // Unpin. Pins nest.
-func (h *Handle) Pin() error { return h.pin(nil, 0, ^uint64(0), false) }
+func (h *Handle) Pin() error { return h.pin(nil, 0, ^uint64(0)) }
 
 // PinCtx is Pin with cancellation: a wait for another entry's in-flight
 // freeze/thaw (or for pins to drain before a widening top-up) returns
@@ -290,16 +255,16 @@ func (h *Handle) Pin() error { return h.pin(nil, 0, ^uint64(0), false) }
 // the transition completes. I/O already in flight for *this* call runs to
 // completion either way — the spill file stays consistent — but a
 // cancelled query stops queuing behind other entries' transitions.
-func (h *Handle) PinCtx(ctx context.Context) error { return h.pin(ctx, 0, ^uint64(0), false) }
+func (h *Handle) PinCtx(ctx context.Context) error { return h.pin(ctx, 0, ^uint64(0)) }
 
 // PinRangeCtx is PinRange with cancellation, like PinCtx.
 func (h *Handle) PinRangeCtx(ctx context.Context, lo, hi uint64) error {
-	return h.pin(ctx, lo, hi, true)
+	return h.pin(ctx, lo, hi)
 }
 
 // PinRange is Pin for a consumer that will only query keys in [lo, hi]:
-// if the structure is frozen and supports range thawing, only the chunks
-// that range touches are restored. The pin protects the entry like Pin.
+// if the structure is frozen, only the chunks that range touches are
+// restored. The pin protects the entry like Pin.
 //
 // Later PinRange/Pin calls *from other consumers* widen the resident
 // portion in place — a widening top-up waits for the current pins to
@@ -309,9 +274,11 @@ func (h *Handle) PinRangeCtx(ctx context.Context, lo, hi uint64) error {
 // Pin up front. Re-pinning within the already covered range is always
 // fine. Callers pinning several handles should acquire them in Seq order
 // (see Handle.Seq).
-func (h *Handle) PinRange(lo, hi uint64) error { return h.pin(nil, lo, hi, true) }
+func (h *Handle) PinRange(lo, hi uint64) error { return h.pin(nil, lo, hi) }
 
-func (h *Handle) pin(ctx context.Context, lo, hi uint64, ranged bool) error {
+// pin is Pin for [lo, hi]; a full Pin is the full key span, which a
+// partial entry never covers (a restore reaching it reports full).
+func (h *Handle) pin(ctx context.Context, lo, hi uint64) error {
 	m := h.m
 	if ctx != nil {
 		// A cancelled context must wake the cond waits below; the waiters
@@ -346,12 +313,12 @@ func (h *Handle) pin(ctx context.Context, lo, hi uint64, ranged bool) error {
 			return fmt.Errorf("spill: pin %s: intermediate was dropped", h.label)
 		}
 		if h.state == stFrozen {
-			if err := m.thawLocked(h, lo, hi, ranged); err != nil {
+			if err := m.thawLocked(h, lo, hi); err != nil {
 				return err
 			}
 			break
 		}
-		if h.partial && !(ranged && h.covered(lo, hi)) {
+		if h.partial && !h.covered(lo, hi) {
 			// The entry needs a wider restore. Topping up writes leaf
 			// chunks in place, so it must not run while readers hold
 			// pins: wait for them to drain. Callers pinning several
@@ -360,7 +327,7 @@ func (h *Handle) pin(ctx context.Context, lo, hi uint64, ranged bool) error {
 				m.cond.Wait()
 				continue
 			}
-			if err := m.thawLocked(h, lo, hi, ranged); err != nil {
+			if err := m.thawLocked(h, lo, hi); err != nil {
 				return err
 			}
 			break
@@ -388,14 +355,13 @@ func (h *Handle) Unpin() {
 	m.balanceLocked()
 }
 
-// Drop removes the entry from the managed set: its spill file is deleted,
-// any file mapping unmapped, and the handle forgotten by the manager (a
-// session-scoped manager outlives many plans; retaining every dead plan's
-// handles would grow without bound). The executor calls it when the last
-// consumer of an intermediate is done, *before* recycling the structure's
-// storage: Drop waits out any in-flight freeze/thaw and releases the
-// mapping, after which recycling only ever touches heap chunks (mapped
-// ones are skipped by the arenas). The handle's counters remain readable.
+// Drop removes the entry from the managed set: its spill file is deleted
+// and the handle forgotten by the manager (a session-scoped manager
+// outlives many plans; retaining every dead plan's handles would grow
+// without bound). The executor calls it when the last consumer of an
+// intermediate is done, *before* recycling the structure's storage: Drop
+// waits out any in-flight freeze/thaw, so recycling never races one. The
+// handle's counters remain readable.
 func (h *Handle) Drop() {
 	m := h.m
 	m.mu.Lock()
@@ -413,10 +379,6 @@ func (h *Handle) Drop() {
 	h.state = stFrozen // not resident; never thawable again (dropped)
 	h.partial = false
 	h.cov = nil
-	if h.mapping != nil {
-		munmapFile(h.mapping)
-		h.mapping = nil
-	}
 	if h.fileValid {
 		os.Remove(h.file)
 		h.fileValid = false
@@ -426,8 +388,7 @@ func (h *Handle) Drop() {
 
 // Detach permanently removes the entry from the managed set while leaving
 // its structure fully resident and self-contained: the structure is thawed
-// if frozen or partial, mmap-adopted chunks are materialized to the heap,
-// the mapping is unmapped and the spill file deleted. A plan running
+// if frozen or partial and the spill file deleted. A plan running
 // against a session-scoped manager detaches its *result* index this way —
 // the result must outlive the plan, but the manager must not keep
 // budgeting (or re-evicting) an index it can never see consumed again.
@@ -442,13 +403,6 @@ func (h *Handle) Detach() error {
 	h.pins--
 	if h.dropped {
 		return nil
-	}
-	if h.mapping != nil {
-		if mz, ok := h.obj.(Materializer); ok {
-			mz.Materialize()
-		}
-		munmapFile(h.mapping)
-		h.mapping = nil
 	}
 	if h.fileValid {
 		os.Remove(h.file)
@@ -504,9 +458,7 @@ func (m *Manager) Stats() Stats {
 
 // Close deletes all spill state. Frozen entries become unusable; callers
 // must Pin (thaw) anything they still need — typically the plan's result
-// index — before closing. Entries still backed by a file mapping are
-// materialized (their mapped chunks copied to the heap) before the
-// mapping is dropped, so a pinned result index stays valid after Close.
+// index — before closing.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -517,16 +469,6 @@ func (m *Manager) Close() error {
 	for _, h := range all {
 		for h.state == stFreezing || h.state == stThawing {
 			m.cond.Wait()
-		}
-		if h.dropped {
-			continue // left the set while we waited; Drop/Detach cleaned up
-		}
-		if h.mapping != nil {
-			if mz, ok := h.obj.(Materializer); ok && h.state == stResident {
-				mz.Materialize()
-			}
-			munmapFile(h.mapping)
-			h.mapping = nil
 		}
 	}
 	var firstErr error
@@ -609,11 +551,6 @@ func (m *Manager) freezeLocked(h *Handle) {
 	}
 	h.fileValid = true
 	h.obj.Release()
-	if h.mapping != nil {
-		// Release dropped the last references into the mapped pages.
-		munmapFile(h.mapping)
-		h.mapping = nil
-	}
 	h.state = stFrozen
 	h.partial = false
 	h.cov = nil
@@ -649,64 +586,25 @@ func writeSnapshotFile(path string, obj Freezer) error {
 	return nil
 }
 
-// thawLocked restores one entry from its spill file — fully, zero-copy
-// via mmap, or partially for a range-restricted consumer — with the
-// manager lock released around the I/O. The spill file stays on disk and
-// valid, so a later re-eviction of the (read-only) structure is free.
-func (m *Manager) thawLocked(h *Handle, lo, hi uint64, ranged bool) error {
+// thawLocked restores one entry from its spill file — fully, or
+// partially for a range-restricted consumer — with the manager lock
+// released around the I/O. A partially resident entry is topped up in
+// place. The spill file stays on disk and valid, so a later re-eviction
+// of the (read-only) structure is free.
+func (m *Manager) thawLocked(h *Handle, lo, hi uint64) error {
 	fromFrozen := h.state == stFrozen
 	wasBytes := h.bytes
-	if !fromFrozen {
-		// Partially resident: widening top-up via the range thaw path.
-		ranged = true
-	}
 	h.state = stThawing
 	m.mu.Unlock()
 
 	var (
-		err       error
 		bytesRead int64
-		full      = true
-		mapped    []byte
-		mmapped   bool
+		full      bool
 	)
-	switch {
-	case ranged && asRangeThawer(h.obj) != nil:
-		rt := asRangeThawer(h.obj)
-		var f *os.File
-		if f, err = os.Open(h.file); err == nil {
-			bytesRead, full, err = rt.ThawRange(f, lo, hi)
-			f.Close()
-		}
-	case m.mmap && asMappedThawer(h.obj) != nil:
-		mt := asMappedThawer(h.obj)
-		mapped, err = mmapSnapshot(h.file)
-		if err == nil {
-			mr := arena.NewMapReader(mapped)
-			if err = mt.ThawMapped(mr); err == nil {
-				bytesRead = mr.Copied()
-				mmapped = true
-			} else {
-				munmapFile(mapped)
-				mapped = nil
-			}
-		}
-		if err != nil {
-			// Fall back to the copying path rather than failing the pin.
-			err = copyThaw(h.file, h.obj)
-			if err == nil {
-				if fi, serr := os.Stat(h.file); serr == nil {
-					bytesRead = fi.Size()
-				}
-			}
-		}
-	default:
-		err = copyThaw(h.file, h.obj)
-		if err == nil {
-			if fi, serr := os.Stat(h.file); serr == nil {
-				bytesRead = fi.Size()
-			}
-		}
+	f, err := os.Open(h.file)
+	if err == nil {
+		bytesRead, full, err = h.obj.ThawRange(f, lo, hi)
+		f.Close()
 	}
 
 	m.mu.Lock()
@@ -726,12 +624,8 @@ func (m *Manager) thawLocked(h *Handle, lo, hi uint64, ranged bool) error {
 	} else {
 		h.addCov(lo, hi)
 	}
-	h.mapping = mapped
 	h.bytes = int64(h.size())
 	m.stats.RestoreBytesRead += bytesRead
-	if mmapped {
-		m.stats.MmapRestores++
-	}
 	if !full || !fromFrozen {
 		m.stats.PartialRestores++
 	}
@@ -745,51 +639,6 @@ func (m *Manager) thawLocked(h *Handle, lo, hi uint64, ranged bool) error {
 	}
 	m.cond.Broadcast()
 	return nil
-}
-
-// asRangeThawer and asMappedThawer fish the optional interfaces out of
-// the registered object.
-func asRangeThawer(obj Freezer) RangeThawer {
-	if rt, ok := obj.(RangeThawer); ok {
-		return rt
-	}
-	return nil
-}
-
-func asMappedThawer(obj Freezer) MappedThawer {
-	if mt, ok := obj.(MappedThawer); ok {
-		return mt
-	}
-	return nil
-}
-
-// copyThaw is the plain buffered restore.
-func copyThaw(path string, obj Freezer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	br := bufio.NewReaderSize(f, 1<<20)
-	err = obj.Thaw(br)
-	f.Close()
-	return err
-}
-
-// mmapSnapshot maps the whole spill file privately.
-func mmapSnapshot(path string) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if fi.Size() == 0 {
-		return nil, fmt.Errorf("spill: empty snapshot %s", path)
-	}
-	return mmapFile(f, fi.Size())
 }
 
 // sanitize keeps spill file names to a portable character set.

@@ -125,15 +125,15 @@ func TestSpillBudgetDecomposedSelections(t *testing.T) {
 	}
 }
 
-// TestSpillRecycleMmapMatches is the memory-lifecycle acceptance test:
-// every SSB query runs with the plan-scoped chunk recycler AND the
-// zero-copy mmap restore enabled, serially and under morsel parallelism,
-// under a budget below the plan's peak intermediate footprint — and must
-// stay bit-identical to the plain run while the recycler and mmap
-// counters prove both mechanisms actually engaged.
-func TestSpillRecycleMmapMatches(t *testing.T) {
+// TestSpillRecycleMatches is the memory-lifecycle acceptance test: every
+// SSB query runs with the plan-scoped chunk recycler AND spilling
+// enabled, serially and under morsel parallelism, under a budget below
+// the plan's peak intermediate footprint — and must stay bit-identical
+// to the plain run while the recycler and spill counters prove both
+// mechanisms actually engaged.
+func TestSpillRecycleMatches(t *testing.T) {
 	ds := testDataset(t)
-	sawMmap, sawReuse := false, false
+	sawRestore, sawReuse := false, false
 	for _, qid := range QueryIDs {
 		plain, _, err := ds.RunQPPT(qid, PlanOptions{UseSelectJoin: true})
 		if err != nil {
@@ -150,31 +150,30 @@ func TestSpillRecycleMmapMatches(t *testing.T) {
 				Exec: core.Options{
 					Workers:      workers,
 					MemBudget:    budget,
-					MmapThaw:     true,
 					Recycle:      true,
 					CollectStats: true,
 				},
 			}
 			got, stats, err := ds.RunQPPT(qid, opt)
 			if err != nil {
-				t.Fatalf("Q%s workers=%d recycle+mmap: %v", qid, workers, err)
+				t.Fatalf("Q%s workers=%d recycle+spill: %v", qid, workers, err)
 			}
 			if !reflect.DeepEqual(plain.Rows, got.Rows) {
-				t.Errorf("Q%s workers=%d: recycle+mmap result differs (%d vs %d rows)",
+				t.Errorf("Q%s workers=%d: recycle+spill result differs (%d vs %d rows)",
 					qid, workers, len(got.Rows), len(plain.Rows))
 			}
 			if stats.ChunksRecycled == 0 {
 				t.Errorf("Q%s workers=%d: recycler idle: %+v", qid, workers, stats)
 			}
-			sawMmap = sawMmap || stats.MmapRestores > 0
+			sawRestore = sawRestore || stats.Restores > 0
 			sawReuse = sawReuse || stats.ChunksReused > 0
 		}
 	}
 	if !sawReuse {
 		t.Error("no query reused a recycled chunk")
 	}
-	if !sawMmap {
-		t.Error("no query took the zero-copy mmap restore path")
+	if !sawRestore {
+		t.Error("no query restored a spilled intermediate")
 	}
 }
 
